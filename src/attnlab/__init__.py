@@ -21,12 +21,14 @@ from .attention import (
 )
 from .conv import (
     ConvParams,
+    deformable_conv,
     deformable_conv1d,
     deformable_conv2d,
+    regular_conv,
     regular_conv1d,
     regular_conv2d,
 )
-from .dynconv import DynamicConvParams, dynamic_conv1d, dynamic_conv2d
+from .dynconv import DynamicConvParams, dynamic_conv, dynamic_conv1d, dynamic_conv2d
 from .errors import (
     ContractViolation,
     DegenerateRegion,
@@ -70,9 +72,9 @@ __all__ = [
     "AttentionConfig", "AttentionParams", "OffsetMap", "attention_forward",
     "attention_weights", "causal_mask", "local_mask", "offset_map_1d",
     "offset_map_2d",
-    "ConvParams", "deformable_conv1d", "deformable_conv2d", "regular_conv1d",
-    "regular_conv2d",
-    "DynamicConvParams", "dynamic_conv1d", "dynamic_conv2d",
+    "ConvParams", "deformable_conv", "deformable_conv1d", "deformable_conv2d",
+    "regular_conv", "regular_conv1d", "regular_conv2d",
+    "DynamicConvParams", "dynamic_conv", "dynamic_conv1d", "dynamic_conv2d",
     "ContractViolation", "DegenerateRegion", "NumericFault", "ShapeMismatch",
     "count_attention", "count_deformable", "count_dynamic", "count_mechanism",
     "count_regular", "emit_table",

@@ -15,7 +15,6 @@ from .harness import (
     emit_results,
     run_grid,
 )
-from .tasks import make_task  # noqa: F401  (re-exported for interactive use)
 
 TASKS = ("permuted-copy", "salient-detection", "windowed-denoise")
 

@@ -13,12 +13,17 @@ The deformable variant displaces every sampling point by an offset
 predicted from the query's content (a shared 1x1 projection, zero
 initialized, stepped at a tenth of the global learning rate) and reads
 features at the fractional result through the linear interpolation
-kernel g(a, b) = max(0, 1 - |a - b|), axes multiplied in 2-d. Reads
+kernel g(a, b) = max(0, 1 - |a - b|), multiplied across axes. Reads
 outside the extent return zero. With the predictor at zero it
 reproduces the regular convolution bit for bit.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
+from functools import lru_cache, reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -32,16 +37,10 @@ def kernel_points(kernel, ndim):
     """Sampling offsets of a centered kernel, row-major, center included."""
     if kernel % 2 != 1 or kernel < 1:
         raise ContractViolation(f"kernel must be odd and positive, got {kernel}")
+    if ndim not in (1, 2):
+        raise ContractViolation(f"ndim must be 1 or 2, got {ndim}")
     reach = kernel // 2
-    if ndim == 1:
-        return [(d,) for d in range(-reach, reach + 1)]
-    if ndim == 2:
-        return [
-            (dy, dx)
-            for dy in range(-reach, reach + 1)
-            for dx in range(-reach, reach + 1)
-        ]
-    raise ContractViolation(f"ndim must be 1 or 2, got {ndim}")
+    return list(itertools.product(range(-reach, reach + 1), repeat=ndim))
 
 
 class ConvParams:
@@ -70,10 +69,44 @@ class ConvParams:
         return out
 
 
-def _check_extent(x, extent):
-    n = int(np.prod(extent))
+def check_layout(x, params, extent=None, deformable=False):
+    """The extent tuple of x, checked against conv or dynamic conv params.
+
+    ``extent=None`` means a sequence of ``x.shape[0]`` cells; a tuple
+    gives the sizes of a row-major grid.
+    """
+    extent = (x.shape[0],) if extent is None else tuple(extent)
+    if len(extent) != params.ndim:
+        raise ContractViolation("params were built for a different layout")
+    if deformable and params.offset_w is None:
+        raise ContractViolation("params carry no offset predictor; build with deformable=True")
+    n = math.prod(extent)
     if x.shape[0] != n:
         raise ShapeMismatch(f"input has {x.shape[0]} cells, extent {extent} implies {n}")
+    if x.shape[1] != params.c_in:
+        raise ShapeMismatch(f"input has {x.shape[1]} channels, params expect {params.c_in}")
+    return extent
+
+
+def _flat_index(coords, extent):
+    """Row-major index of per-axis integer coordinates; -1 where any axis
+    falls outside the extent."""
+    flat = 0
+    inside = True
+    for coord, size in zip(coords, extent):
+        inside = inside & (coord >= 0) & (coord < size)
+        flat = flat * size + coord
+    return np.where(inside, flat, -1)
+
+
+@lru_cache(maxsize=1024)
+def neighbor_index(extent, point):
+    """For each cell, the row of the cell displaced by ``point``; -1 off
+    the edge. Both arguments are tuples; the result is cached, read-only."""
+    cells = np.indices(extent).reshape(len(extent), -1)
+    idx = _flat_index([c + d for c, d in zip(cells, point)], extent)
+    idx.flags.writeable = False
+    return idx
 
 
 def indicator_weights(extent, kernel):
@@ -83,61 +116,24 @@ def indicator_weights(extent, kernel):
     the point's offset; rows whose target falls off the edge are all
     zero. Returned as plain arrays for inspection and testing.
     """
-    ndim = 1 if np.isscalar(extent) else len(extent)
-    if ndim == 1:
-        n = int(extent)
-        shape = (n,)
-    else:
-        shape = tuple(extent)
-        n = int(np.prod(shape))
+    extent = tuple(int(s) for s in np.atleast_1d(extent))
+    n = math.prod(extent)
     mats = []
-    for point in kernel_points(kernel, ndim):
+    for point in kernel_points(kernel, len(extent)):
+        idx = neighbor_index(extent, point)
+        rows = np.flatnonzero(idx >= 0)
         mat = np.zeros((n, n))
-        for q in range(n):
-            cell = np.unravel_index(q, shape)
-            target = tuple(c + d for c, d in zip(cell, point))
-            if all(0 <= t < s for t, s in zip(target, shape)):
-                mat[q, np.ravel_multi_index(target, shape)] = 1.0
+        mat[rows, idx[rows]] = 1.0
         mats.append(mat)
     return mats
 
 
-def _neighbor_index_1d(n, dp):
-    idx = np.arange(n) + dp
-    return np.where((idx >= 0) & (idx < n), idx, -1)
-
-def _neighbor_index_2d(h, w, dy, dx):
-    ys, xs = np.divmod(np.arange(h * w), w)
-    ny, nx = ys + dy, xs + dx
-    ok = (ny >= 0) & (ny < h) & (nx >= 0) & (nx < w)
-    return np.where(ok, ny * w + nx, -1)
-
-
-def regular_conv1d(x, params: ConvParams):
-    """Sequence convolution with zero padding; x is (n, c_in)."""
-    if params.ndim != 1:
-        raise ContractViolation("params were built for a different layout")
-    n = x.shape[0]
-    out = None
-    for wm, (dp,) in zip(params.point_weights, params.points):
-        feat = x.take_rows(_neighbor_index_1d(n, dp), oob_zero=True)
-        contrib = feat @ wm.T
-        out = contrib if out is None else out + contrib
-    return out
-
-
-def regular_conv2d(x, params: ConvParams, extent):
-    """Grid convolution with zero padding; x is (h*w, c_in), row-major."""
-    if params.ndim != 2:
-        raise ContractViolation("params were built for a different layout")
-    _check_extent(x, extent)
-    h, w = extent
-    out = None
-    for wm, (dy, dx) in zip(params.point_weights, params.points):
-        feat = x.take_rows(_neighbor_index_2d(h, w, dy, dx), oob_zero=True)
-        contrib = feat @ wm.T
-        out = contrib if out is None else out + contrib
-    return out
+def regular_conv(x, params: ConvParams, extent=None):
+    """Convolution with zero padding; x is (n, c_in), a sequence when
+    ``extent`` is None, else a row-major grid of that extent."""
+    extent = check_layout(x, params, extent)
+    return reduce(add, (x.take_rows(neighbor_index(extent, point), oob_zero=True) @ wm.T
+                        for wm, point in zip(params.point_weights, params.points)))
 
 
 def linear_kernel(a, b):
@@ -146,64 +142,40 @@ def linear_kernel(a, b):
     return (1.0 - diff.abs()).relu() if isinstance(diff, Tensor) else np.maximum(0.0, 1.0 - np.abs(diff))
 
 
-def _require_deformable(params):
-    if params.offset_w is None:
-        raise ContractViolation("params carry no offset predictor; build with deformable=True")
+def _interpolate(x, positions, extent):
+    """Rows of x read at fractional cells, one (n, 1) position per axis.
 
-
-def deformable_conv1d(x, params: ConvParams):
-    """Deformable sequence convolution; x is (n, c_in)."""
-    if params.ndim != 1:
-        raise ContractViolation("params were built for a different layout")
-    _require_deformable(params)
+    Each read sums the 2**ndim surrounding cells, weighted by the product
+    of the per-axis linear kernels; cells outside the extent read zero.
+    """
     n = x.shape[0]
-    disp = x @ params.offset_w
-    base = np.arange(n, dtype=np.float64).reshape(n, 1)
-    out = None
-    for m, (wm, (dp,)) in enumerate(zip(params.point_weights, params.points)):
-        pos = disp.slice_cols(m, m + 1) + Tensor(base + dp)
-        lo = np.floor(pos.data).astype(np.int64)
-        sampled = None
-        for nb in (lo, lo + 1):
-            weight = linear_kernel(pos, Tensor(nb.astype(np.float64)))
-            idx = np.where((nb >= 0) & (nb < n), nb, -1).reshape(n)
-            feat = x.take_rows(idx, oob_zero=True)
-            piece = feat * weight
-            sampled = piece if sampled is None else sampled + piece
-        contrib = sampled @ wm.T
-        out = contrib if out is None else out + contrib
-    return out
+    lows = [np.floor(pos.data) for pos in positions]
+    kernels = [(linear_kernel(pos, Tensor(lo)), linear_kernel(pos, Tensor(lo + 1.0)))
+               for pos, lo in zip(positions, lows)]
+    sampled = []
+    for corner in itertools.product((0, 1), repeat=len(extent)):
+        idx = _flat_index([(lo + bit).astype(np.int64).reshape(n)
+                           for lo, bit in zip(lows, corner)], extent)
+        weight = reduce(mul, (k[bit] for k, bit in zip(kernels, corner)))
+        sampled.append(x.take_rows(idx, oob_zero=True) * weight)
+    return reduce(add, sampled)
 
 
-def deformable_conv2d(x, params: ConvParams, extent):
-    """Deformable grid convolution; x is (h*w, c_in), row-major."""
-    if params.ndim != 2:
-        raise ContractViolation("params were built for a different layout")
-    _require_deformable(params)
-    _check_extent(x, extent)
-    h, w = extent
-    n = h * w
+def deformable_conv(x, params: ConvParams, extent=None):
+    """Deformable convolution; x is (n, c_in), laid out as in regular_conv."""
+    extent = check_layout(x, params, extent, deformable=True)
+    ndim = len(extent)
     disp = x @ params.offset_w
-    ys, xs = np.divmod(np.arange(n), w)
-    ys = ys.astype(np.float64).reshape(n, 1)
-    xs = xs.astype(np.float64).reshape(n, 1)
-    out = None
-    for m, (wm, (dy, dx)) in enumerate(zip(params.point_weights, params.points)):
-        pos_y = disp.slice_cols(2 * m, 2 * m + 1) + Tensor(ys + dy)
-        pos_x = disp.slice_cols(2 * m + 1, 2 * m + 2) + Tensor(xs + dx)
-        y0 = np.floor(pos_y.data).astype(np.int64)
-        x0 = np.floor(pos_x.data).astype(np.int64)
-        sampled = None
-        for ny in (y0, y0 + 1):
-            gy = linear_kernel(pos_y, Tensor(ny.astype(np.float64)))
-            for nx in (x0, x0 + 1):
-                gx = linear_kernel(pos_x, Tensor(nx.astype(np.float64)))
-                gw = gy * gx
-                ok = (ny >= 0) & (ny < h) & (nx >= 0) & (nx < w)
-                idx = np.where(ok, ny * w + nx, -1).reshape(n)
-                feat = x.take_rows(idx, oob_zero=True)
-                piece = feat * gw
-                sampled = piece if sampled is None else sampled + piece
-        contrib = sampled @ wm.T
-        out = contrib if out is None else out + contrib
-    return out
+    cells = np.indices(extent).reshape(ndim, -1, 1).astype(np.float64)
+    contribs = []
+    for m, (wm, point) in enumerate(zip(params.point_weights, params.points)):
+        # column ndim * m + axis displaces point m along that axis
+        positions = [disp.slice_cols(ndim * m + axis, ndim * m + axis + 1) + Tensor(cells[axis] + d)
+                     for axis, d in enumerate(point)]
+        contribs.append(_interpolate(x, positions, extent) @ wm.T)
+    return reduce(add, contribs)
+
+
+# Layout-named aliases: the layout itself comes from ``extent``.
+regular_conv1d = regular_conv2d = regular_conv
+deformable_conv1d = deformable_conv2d = deformable_conv

@@ -16,13 +16,14 @@ rescales the in-range weights to sum to one instead.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
+
 import numpy as np
 
-from .conv import _neighbor_index_1d, _neighbor_index_2d, kernel_points
+from .conv import check_layout, kernel_points, neighbor_index
 from .errors import ContractViolation, ShapeMismatch
 from .tensor import Rng, Tensor
-
-DEFAULT_GROUPS = 16
 
 
 def group_of_channel(channel, channels, n_groups):
@@ -84,54 +85,28 @@ def dynamic_kernel(h, params: DynamicConvParams):
     return logits.reshape(n, params.n_groups, n_pts).softmax(axis=-1)
 
 
-def _mix(h, kernel3, params, neighbor_index, renormalize):
-    n = h.shape[0]
+def dynamic_conv(x, params: DynamicConvParams, extent=None, renormalize=False):
+    """Full dynamic convolution; x is (n, c_in), a sequence when
+    ``extent`` is None, else a row-major grid with an n_k x n_k window."""
+    extent = check_layout(x, params, extent)
+    n = x.shape[0]
+    h = glu(x, params)
     n_pts = len(params.points)
-    size = params.c_in // params.n_groups
-    flat = kernel3.reshape(n, params.n_groups * n_pts)
+    flat = dynamic_kernel(h, params).reshape(n, params.n_groups * n_pts)
     # channel c reads its group's kernel: duplication happens in the gather
+    size = params.c_in // params.n_groups
     col_of_channel = np.repeat(np.arange(params.n_groups) * n_pts, size)
     coeffs = [flat.take_cols(col_of_channel + j) for j in range(n_pts)]
-    indices = [neighbor_index(point) for point in params.points]
+    indices = [neighbor_index(extent, point) for point in params.points]
     if renormalize:
-        mass = None
-        for coeff, idx in zip(coeffs, indices):
-            inside = Tensor((idx >= 0).astype(np.float64).reshape(n, 1))
-            piece = coeff * inside
-            mass = piece if mass is None else mass + piece
+        mass = reduce(add, (coeff * Tensor((idx >= 0).astype(np.float64).reshape(n, 1))
+                            for coeff, idx in zip(coeffs, indices)))
         scale = mass.reciprocal()
         coeffs = [c * scale for c in coeffs]
-    mixed = None
-    for coeff, idx in zip(coeffs, indices):
-        shifted = h.take_rows(idx, oob_zero=True)
-        piece = coeff * shifted
-        mixed = piece if mixed is None else mixed + piece
+    mixed = reduce(add, (coeff * h.take_rows(idx, oob_zero=True)
+                         for coeff, idx in zip(coeffs, indices)))
     return mixed @ params.point_w.T
 
 
-def dynamic_conv1d(x, params: DynamicConvParams, renormalize=False):
-    """Full dynamic convolution on a sequence (n, c_in)."""
-    if params.ndim != 1:
-        raise ContractViolation("params were built for a different layout")
-    if x.shape[1] != params.c_in:
-        raise ShapeMismatch(f"input has {x.shape[1]} channels, params expect {params.c_in}")
-    n = x.shape[0]
-    h = glu(x, params)
-    kernel3 = dynamic_kernel(h, params)
-    return _mix(h, kernel3, params, lambda p: _neighbor_index_1d(n, p[0]), renormalize)
-
-
-def dynamic_conv2d(x, params: DynamicConvParams, extent, renormalize=False):
-    """Grid variant: an n_k x n_k window with the same channel grouping."""
-    if params.ndim != 2:
-        raise ContractViolation("params were built for a different layout")
-    h_ext, w_ext = extent
-    if x.shape[0] != h_ext * w_ext:
-        raise ShapeMismatch(f"input has {x.shape[0]} cells, extent {extent} implies {h_ext * w_ext}")
-    if x.shape[1] != params.c_in:
-        raise ShapeMismatch(f"input has {x.shape[1]} channels, params expect {params.c_in}")
-    h = glu(x, params)
-    kernel3 = dynamic_kernel(h, params)
-    return _mix(
-        h, kernel3, params, lambda p: _neighbor_index_2d(h_ext, w_ext, p[0], p[1]), renormalize
-    )
+# Layout-named aliases: the layout itself comes from ``extent``.
+dynamic_conv1d = dynamic_conv2d = dynamic_conv

@@ -137,17 +137,19 @@ def count_regular(n_s, n_k, c_in, c_out=None):
 
 
 def count_deformable(n_s, n_k, c_in, c_out=None, ndim=2):
-    """Offset prediction, interpolation, then per-point aggregation."""
-    c_out = c_in if c_out is None else c_out
-    agg = n_s * n_k * c_in * c_out
-    if ndim == 2:
-        predict = n_s * c_in * 2 * n_k
-        interp = 4 * n_s * n_k + 4 * n_s * n_k * c_in  # corner products + reads
-    elif ndim == 1:
-        predict = n_s * c_in * n_k
-        interp = 2 * n_s * n_k * c_in
-    else:
+    """Offset prediction, interpolation, then per-point aggregation.
+
+    Each point reads 2**ndim neighbors; their weights are products of
+    ndim per-axis kernels (ndim - 1 multiplies each) and every read is
+    scaled channel by channel.
+    """
+    if ndim not in (1, 2):
         raise ContractViolation(f"ndim must be 1 or 2, got {ndim}")
+    c_out = c_in if c_out is None else c_out
+    corners = 2 ** ndim
+    predict = n_s * c_in * ndim * n_k
+    interp = corners * (ndim - 1) * n_s * n_k + corners * n_s * n_k * c_in
+    agg = n_s * n_k * c_in * c_out
     return predict + interp + agg
 
 
@@ -217,24 +219,14 @@ def table_rows(ns_list, c, n_k, n_g, m):
                 "macs": count_term(term, n_s, c, m),
                 "flags": _flag_string(TERM_FLAGS[term], "dense,global"),
             })
-        rows.append({
-            "mechanism": "regular", "term": "",
-            "N_s": n_s, "C": c, "N_k": n_k, "N_g": "", "M": "",
-            "macs": count_regular(n_s, n_k, c),
-            "flags": _flag_string(MECHANISM_FLAGS["regular"], MECHANISM_FLAGS["regular"]["spatial"]),
-        })
-        rows.append({
-            "mechanism": "deformable", "term": "",
-            "N_s": n_s, "C": c, "N_k": n_k, "N_g": "", "M": "",
-            "macs": count_deformable(n_s, n_k, c, ndim=2),
-            "flags": _flag_string(MECHANISM_FLAGS["deformable"], MECHANISM_FLAGS["deformable"]["spatial"]),
-        })
-        rows.append({
-            "mechanism": "dynamic", "term": "",
-            "N_s": n_s, "C": c, "N_k": n_k, "N_g": n_g, "M": "",
-            "macs": count_dynamic(n_s, n_k, c, n_g)[0],
-            "flags": _flag_string(MECHANISM_FLAGS["dynamic"], MECHANISM_FLAGS["dynamic"]["spatial"]),
-        })
+        for mechanism, flags in MECHANISM_FLAGS.items():
+            rows.append({
+                "mechanism": mechanism, "term": "",
+                "N_s": n_s, "C": c, "N_k": n_k, "M": "",
+                "N_g": n_g if mechanism == "dynamic" else "",
+                "macs": count_mechanism(mechanism, n_s, c, n_k=n_k, n_g=n_g),
+                "flags": _flag_string(flags, flags["spatial"]),
+            })
     return rows
 
 TABLE_COLUMNS = ["mechanism", "term", "N_s", "C", "N_k", "N_g", "M", "macs", "flags"]

@@ -9,9 +9,11 @@ not, and is reported for orientation only.
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -22,10 +24,11 @@ from .errors import (
     ShapeMismatch,
 )
 from .models import build_model, count_forward
-from .tasks import make_task
+from .tasks import TASK_MAKERS, make_task
 from .train import evaluate, train_model
 
-RESULT_COLUMNS = ["task", "stack", "beta", "accuracy", "macs", "wall_ms", "seed"]
+RESULT_COLUMNS = ["task", "stack", "beta", "accuracy", "macs", "wall_ms", "seed",
+                  "error"]
 
 # per-task training recipes; pilots showed these reach the documented
 # accuracies well inside a laptop-minute
@@ -47,6 +50,12 @@ ALL_BETAS = tuple(format(i, "04b") for i in range(16))
 NO_BETA = "----"
 
 
+def _at_least(value, low, kind=numbers.Real):
+    """A finite number of the given kind, bools excluded, no less than low."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and low <= value < math.inf)
+
+
 @dataclass
 class RunConfig:
     """One grid cell. None fields fall back to the task's defaults."""
@@ -66,7 +75,9 @@ class RunConfig:
     task_options: dict = field(default_factory=dict)
 
     def resolved(self):
-        if self.task not in TRAINING_DEFAULTS:
+        """A copy with the task's defaults filled in; raises
+        ContractViolation naming every field of the wrong type or range."""
+        if not isinstance(self.task, str) or self.task not in TRAINING_DEFAULTS:
             raise ContractViolation(f"unknown task {self.task!r}")
         base = TRAINING_DEFAULTS[self.task]
         out = RunConfig(**asdict(self))
@@ -75,6 +86,26 @@ class RunConfig:
         out.batch_size = (base["batch_size"] if self.batch_size is None
                           else self.batch_size)
         out.lr = base["lr"] if self.lr is None else self.lr
+        options = set(inspect.signature(TASK_MAKERS[self.task]).parameters)
+        valid = {
+            "stack": isinstance(out.stack, str),
+            "beta": isinstance(out.beta, str) and len(out.beta) == 4
+                    and set(out.beta) <= {"0", "1"},
+            "seed": _at_least(out.seed, 0, numbers.Integral),
+            "steps": _at_least(out.steps, 0, numbers.Integral),
+            "batch_size": _at_least(out.batch_size, 1, numbers.Integral),
+            "lr": _at_least(out.lr, 0) and out.lr > 0,
+            "momentum": _at_least(out.momentum, 0) and out.momentum < 1,
+            "clip": out.clip is None or (_at_least(out.clip, 0) and out.clip > 0),
+            "heads": _at_least(out.heads, 1, numbers.Integral),
+            "window": out.window is None or _at_least(out.window, 1, numbers.Integral),
+            "n_groups": _at_least(out.n_groups, 1, numbers.Integral),
+            "task_options": isinstance(out.task_options, dict)
+                            and set(out.task_options) <= options - {"seed"},
+        }
+        bad = [f"{name}={getattr(out, name)!r}" for name, ok in valid.items() if not ok]
+        if bad:
+            raise ContractViolation(f"invalid config: {', '.join(bad)}")
         return out
 
     def to_json(self):
@@ -110,11 +141,11 @@ class ResultRecord:
 
 def train(config: RunConfig) -> ResultRecord:
     """Run one grid cell end to end: build, fit, evaluate, meter."""
-    cfg = config.resolved()
-    beta = NO_BETA if "dynamic" in cfg.stack else cfg.beta
     start = time.perf_counter()
     accuracy, macs, error = math.nan, 0, None
+    cfg = config
     try:
+        cfg = config.resolved()
         task = make_task(cfg.task, seed=cfg.seed, **cfg.task_options)
         model = build_model(task, cfg.stack, cfg.beta, seed=cfg.seed,
                             heads=cfg.heads, window=cfg.window,
@@ -129,9 +160,13 @@ def train(config: RunConfig) -> ResultRecord:
             ShapeMismatch) as exc:
         error = f"{type(exc).__name__}: {exc}"
     wall_ms = (time.perf_counter() - start) * 1000.0
-    return ResultRecord(task=cfg.task, stack=cfg.stack, beta=beta,
+    # str() and the seed fallback keep a malformed config's row sortable
+    stack = str(cfg.stack or DEFAULT_STACK.get(str(cfg.task), ""))
+    beta = NO_BETA if "dynamic" in stack else str(cfg.beta)
+    seed = cfg.seed if isinstance(cfg.seed, numbers.Integral) else -1
+    return ResultRecord(task=str(cfg.task), stack=stack, beta=beta,
                         accuracy=accuracy, macs=macs, wall_ms=wall_ms,
-                        seed=cfg.seed, error=error)
+                        seed=seed, error=error)
 
 
 def run_grid(task, configs=None, seed=0) -> list:
@@ -176,7 +211,7 @@ def emit_results(records, path=None):
     writer.writerow(RESULT_COLUMNS)
     for r in ordered:
         writer.writerow([r.task, r.stack, r.beta, repr(r.accuracy), r.macs,
-                         f"{r.wall_ms:.3f}", r.seed])
+                         f"{r.wall_ms:.3f}", r.seed, r.error or ""])
     text = buf.getvalue()
     if path is None:
         return text

@@ -33,8 +33,8 @@ from .attention import (
     offset_map_1d,
     offset_map_2d,
 )
-from .conv import ConvParams, deformable_conv1d, deformable_conv2d, regular_conv2d
-from .dynconv import DynamicConvParams, dynamic_conv1d, dynamic_conv2d
+from .conv import ConvParams, deformable_conv, regular_conv
+from .dynconv import DynamicConvParams, dynamic_conv
 from .errors import ContractViolation
 from .tensor import Rng, Tensor, counting, zeros
 
@@ -67,180 +67,138 @@ def cross_entropy(logits, labels):
     return -(picked.mean())
 
 
-class _Head:
-    """Linear classifier head, bias included."""
+class _Model:
+    """Scaffold of the model families: classifier head, loss, prediction,
+    accuracy and parameter list. A family defines ``logits``; its
+    ``__init__`` lists the trainable parts (parameter sets or tensors) in
+    ``self.parts``, in a fixed order, since gradient clipping sums
+    squared norms in parameter order."""
 
-    def __init__(self, c_in, n_out, rng):
-        self.w = rng.param((c_in, n_out), fan_in=c_in)
-        self.b = zeros((1, n_out), requires_grad=True)
-
-    def __call__(self, h):
-        return h @ self.w + self.b
-
-    def parameters(self):
-        return [self.w, self.b]
-
-
-class RetrievalModel:
-    """Permuted-copy: one cross-attention read, then classify the result."""
-
-    def __init__(self, task, beta, seed, heads=2, deformable=False, window=None):
+    def __init__(self, task, seed, extent):
         c = task.channels
-        rng = Rng(seed)
         self.task = task
-        self.config = AttentionConfig.from_beta(beta, heads=heads)
-        self.attn = AttentionParams(c, heads, enc_dim=c, rng=rng.child(50))
-        self.offsets = offset_map_1d(1, task.extent, enc_dim=c)
-        self.mask = local_mask(self.offsets, window) if window else None
-        self.head = _Head(c, task.vocab, rng.child(53))
-        self.deform = None
-        if deformable:
-            self.deform = ConvParams(c, c, kernel=3, ndim=1, rng=rng.child(51),
-                                     deformable=True)
-            self.deform_scale = zeros((), requires_grad=True)
+        self.extent = extent
+        self.rng = Rng(seed)
+        self.head_w = self.rng.child(53).param((c, task.vocab), fan_in=c)
+        self.head_b = zeros((1, task.vocab), requires_grad=True)
 
-    def logits(self, sample):
-        x = Tensor(sample["inputs"])
-        if self.deform is not None:
-            x = x + deformable_conv1d(x, self.deform) * self.deform_scale
-        z = Tensor(sample["query"])
-        y = attention_forward(z, x, self.attn, self.config, offsets=self.offsets,
-                              mask=self.mask, mode="cross")
-        return self.head(y)
+    def _classify(self, h):
+        return h @ self.head_w + self.head_b
 
     def loss(self, sample):
         return cross_entropy(self.logits(sample), sample["label"])
 
     def predict(self, sample):
-        return int(np.argmax(self.logits(sample).data))
+        """The argmax class of every logits row."""
+        return np.argmax(self.logits(sample).data, axis=-1)
 
     def accuracy(self, sample):
-        return float(self.predict(sample) == sample["label"])
+        hits = self.predict(sample) == sample["label"]
+        # count_nonzero rather than mean: this runs once per eval sample
+        return np.count_nonzero(hits) / hits.size
 
     def parameters(self):
-        params = self.attn.parameters() + self.head.parameters()
-        if self.deform is not None:
-            params += self.deform.parameters() + [self.deform_scale]
+        params = []
+        for part in self.parts:
+            params += [part] if isinstance(part, Tensor) else part.parameters()
         return params
 
+    def _attention(self, beta, heads, window, offsets):
+        """The switched attention read over ``offsets``; returns its parts."""
+        c = self.task.channels
+        self.config = AttentionConfig.from_beta(beta, heads=heads)
+        self.attn = AttentionParams(c, heads, enc_dim=c, rng=self.rng.child(50))
+        self.offsets = offsets
+        self.mask = local_mask(offsets, window) if window else None
+        return [self.attn]
 
-class GridClassifier:
+    def _core(self, core, beta, heads, window, n_groups):
+        """A residual self-attention or a zero-gated dynamic conv over
+        ``self.extent``; returns its parts."""
+        c = self.task.channels
+        self.core = core
+        if core == "attention":
+            offsets = (offset_map_2d(*self.extent, enc_dim=c) if len(self.extent) == 2
+                       else offset_map_1d(self.extent[0], self.extent[0], enc_dim=c))
+            return self._attention(beta, heads, window, offsets)
+        if core != "dynamic":
+            raise ContractViolation(f"unknown core {core!r}")
+        self.dyn = DynamicConvParams(c, c, kernel=3, n_groups=n_groups,
+                                     rng=self.rng.child(52), ndim=len(self.extent))
+        self.dyn_scale = zeros((), requires_grad=True)
+        return [self.dyn, self.dyn_scale]
+
+    def _apply_core(self, h):
+        if self.core == "attention":
+            return attention_forward(h, h, self.attn, self.config,
+                                     offsets=self.offsets, mask=self.mask,
+                                     residual=True)
+        return h + dynamic_conv(h, self.dyn, self.extent) * self.dyn_scale
+
+    def _deform_unit(self, deformable):
+        """A zero-gated deformable residual on the input sequence; its parts."""
+        self.deform = None
+        if not deformable:
+            return []
+        c = self.task.channels
+        self.deform = ConvParams(c, c, kernel=3, ndim=1, rng=self.rng.child(51),
+                                 deformable=True)
+        self.deform_scale = zeros((), requires_grad=True)
+        return [self.deform, self.deform_scale]
+
+    def _deformed(self, x):
+        if self.deform is None:
+            return x
+        return x + deformable_conv(x, self.deform) * self.deform_scale
+
+
+class RetrievalModel(_Model):
+    """Permuted-copy: one cross-attention read, then classify the result."""
+
+    def __init__(self, task, beta, seed, heads=2, deformable=False, window=None):
+        super().__init__(task, seed, (task.extent,))
+        offsets = offset_map_1d(1, task.extent, enc_dim=task.channels)
+        self.parts = (self._attention(beta, heads, window, offsets) + [self.head_w, self.head_b]
+                      + self._deform_unit(deformable))
+
+    def logits(self, sample):
+        x = self._deformed(Tensor(sample["inputs"]))
+        y = attention_forward(Tensor(sample["query"]), x, self.attn, self.config,
+                              offsets=self.offsets, mask=self.mask, mode="cross")
+        return self._classify(y)
+
+
+class GridClassifier(_Model):
     """Salient-detection: conv backbone, attention residual, pooled read-out."""
 
     def __init__(self, task, beta, seed, heads=2, backbone="regular",
                  core="attention", window=None, n_groups=4):
+        super().__init__(task, seed, tuple(task.extent))
         c = task.channels
-        h, w = task.extent
-        rng = Rng(seed)
-        self.task = task
-        self.extent = (h, w)
-        self.backbone = ConvParams(c, c, kernel=3, ndim=2, rng=rng.child(51),
+        self.backbone = ConvParams(c, c, kernel=3, ndim=2, rng=self.rng.child(51),
                                    deformable=(backbone == "deformable"))
-        self.core = core
-        if core == "attention":
-            self.config = AttentionConfig.from_beta(beta, heads=heads)
-            self.attn = AttentionParams(c, heads, enc_dim=c, rng=rng.child(50))
-            self.offsets = offset_map_2d(h, w, enc_dim=c)
-            self.mask = local_mask(self.offsets, window) if window else None
-        elif core == "dynamic":
-            self.dyn = DynamicConvParams(c, c, kernel=3, n_groups=n_groups,
-                                         rng=rng.child(52), ndim=2)
-            self.dyn_scale = zeros((), requires_grad=True)
-        else:
-            raise ContractViolation(f"unknown core {core!r}")
-        self.head = _Head(c, task.vocab, rng.child(53))
+        self.parts = ([self.backbone, self.head_w, self.head_b]
+                      + self._core(core, beta, heads, window, n_groups))
 
     def logits(self, sample):
-        x = Tensor(sample["inputs"])
-        if self.backbone.offset_w is not None:
-            h = deformable_conv2d(x, self.backbone, self.extent)
-        else:
-            h = regular_conv2d(x, self.backbone, self.extent)
-        if self.core == "attention":
-            h = attention_forward(h, h, self.attn, self.config,
-                                  offsets=self.offsets, mask=self.mask,
-                                  residual=True)
-        else:
-            h = h + dynamic_conv2d(h, self.dyn, self.extent) * self.dyn_scale
+        conv = regular_conv if self.backbone.offset_w is None else deformable_conv
+        h = self._apply_core(conv(Tensor(sample["inputs"]), self.backbone, self.extent))
         pooled = h.sum(axis=0, keepdims=True) / float(h.shape[0])
-        return self.head(pooled)
-
-    def loss(self, sample):
-        return cross_entropy(self.logits(sample), sample["label"])
-
-    def predict(self, sample):
-        return int(np.argmax(self.logits(sample).data))
-
-    def accuracy(self, sample):
-        return float(self.predict(sample) == sample["label"])
-
-    def parameters(self):
-        params = self.backbone.parameters() + self.head.parameters()
-        if self.core == "attention":
-            params += self.attn.parameters()
-        else:
-            params += self.dyn.parameters() + [self.dyn_scale]
-        return params
+        return self._classify(pooled)
 
 
-class DenoiseModel:
+class DenoiseModel(_Model):
     """Windowed-denoise: per-position residual attention or dynamic conv."""
 
     def __init__(self, task, beta, seed, heads=2, core="attention",
                  deformable=False, window=None, n_groups=4):
-        c = task.channels
-        length = task.extent
-        rng = Rng(seed)
-        self.task = task
-        self.core = core
-        self.deform = None
-        if deformable:
-            self.deform = ConvParams(c, c, kernel=3, ndim=1, rng=rng.child(51),
-                                     deformable=True)
-            self.deform_scale = zeros((), requires_grad=True)
-        if core == "attention":
-            self.config = AttentionConfig.from_beta(beta, heads=heads)
-            self.attn = AttentionParams(c, heads, enc_dim=c, rng=rng.child(50))
-            self.offsets = offset_map_1d(length, length, enc_dim=c)
-            self.mask = local_mask(self.offsets, window) if window else None
-        elif core == "dynamic":
-            self.dyn = DynamicConvParams(c, c, kernel=3, n_groups=n_groups,
-                                         rng=rng.child(52), ndim=1)
-            self.dyn_scale = zeros((), requires_grad=True)
-        else:
-            raise ContractViolation(f"unknown core {core!r}")
-        self.head = _Head(c, task.vocab, rng.child(53))
+        super().__init__(task, seed, (task.extent,))
+        self.parts = ([self.head_w, self.head_b] + self._deform_unit(deformable)
+                      + self._core(core, beta, heads, window, n_groups))
 
     def logits(self, sample):
-        x = Tensor(sample["inputs"])
-        if self.deform is not None:
-            x = x + deformable_conv1d(x, self.deform) * self.deform_scale
-        if self.core == "attention":
-            h = attention_forward(x, x, self.attn, self.config,
-                                  offsets=self.offsets, mask=self.mask,
-                                  residual=True)
-        else:
-            h = x + dynamic_conv1d(x, self.dyn) * self.dyn_scale
-        return self.head(h)
-
-    def loss(self, sample):
-        return cross_entropy(self.logits(sample), sample["label"])
-
-    def predict(self, sample):
-        return np.argmax(self.logits(sample).data, axis=-1)
-
-    def accuracy(self, sample):
-        return float((self.predict(sample) == sample["label"]).mean())
-
-    def parameters(self):
-        params = self.head.parameters()
-        if self.deform is not None:
-            params += self.deform.parameters() + [self.deform_scale]
-        if self.core == "attention":
-            params += self.attn.parameters()
-        else:
-            params += self.dyn.parameters() + [self.dyn_scale]
-        return params
+        x = self._deformed(Tensor(sample["inputs"]))
+        return self._classify(self._apply_core(x))
 
 
 def count_forward(model, sample):

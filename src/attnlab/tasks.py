@@ -29,6 +29,7 @@ is kept disjoint from the held-out eval set by construction.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,13 +54,14 @@ class ToyTask:
     extent: object  # sequence length or (height, width)
     channels: int
     seed: int
-    train_size: int
     eval_size: int
     embed: np.ndarray = field(repr=False)
     n_marked: int = 0
     flip: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.eval_size, numbers.Integral) or self.eval_size < 1:
+            raise ContractViolation(f"eval_size must be a positive int, got {self.eval_size!r}")
         self._rng = Rng(self.seed)
         self._eval = None
         self._eval_keys = None
@@ -168,7 +170,7 @@ def _draw_denoise(task, rng):
 
 
 def make_permuted_copy_task(seed, vocab=8, length=6, channels=16,
-                            train_size=40000, eval_size=300):
+                            eval_size=300):
     if vocab < 4 or length < 4:
         raise ContractViolation("permuted-copy needs vocab >= 4 and length >= 4")
     if length > vocab:
@@ -176,12 +178,12 @@ def make_permuted_copy_task(seed, vocab=8, length=6, channels=16,
     embed = _orthonormal_rows(vocab, channels, Rng(seed).child(9))
     return ToyTask(
         kind="permuted-copy", vocab=vocab, extent=length, channels=channels,
-        seed=seed, train_size=train_size, eval_size=eval_size, embed=embed,
+        seed=seed, eval_size=eval_size, embed=embed,
     )
 
 
 def make_salient_detection_task(seed, extent=(6, 6), classes=4, channels=16,
-                                n_marked=3, train_size=40000, eval_size=300):
+                                n_marked=3, eval_size=300):
     h, w = extent
     if (h * w) % classes != 0:
         raise ContractViolation("class count must divide the cell count")
@@ -190,30 +192,32 @@ def make_salient_detection_task(seed, extent=(6, 6), classes=4, channels=16,
     embed = _orthonormal_rows(classes, channels - 1, Rng(seed).child(9))
     return ToyTask(
         kind="salient-detection", vocab=classes, extent=(h, w), channels=channels,
-        seed=seed, train_size=train_size, eval_size=eval_size, embed=embed,
+        seed=seed, eval_size=eval_size, embed=embed,
         n_marked=n_marked,
     )
 
 
 def make_windowed_denoise_task(seed, length=16, vocab=5, channels=16,
-                               flip=0.2, train_size=40000, eval_size=200):
+                               flip=0.2, eval_size=200):
     embed = _orthonormal_rows(vocab, channels, Rng(seed).child(9))
     return ToyTask(
         kind="windowed-denoise", vocab=vocab, extent=length, channels=channels,
-        seed=seed, train_size=train_size, eval_size=eval_size, embed=embed,
+        seed=seed, eval_size=eval_size, embed=embed,
         flip=flip,
     )
 
 
+TASK_MAKERS = {
+    "permuted-copy": make_permuted_copy_task,
+    "salient-detection": make_salient_detection_task,
+    "windowed-denoise": make_windowed_denoise_task,
+}
+
+
 def make_task(kind, seed, **kw):
-    makers = {
-        "permuted-copy": make_permuted_copy_task,
-        "salient-detection": make_salient_detection_task,
-        "windowed-denoise": make_windowed_denoise_task,
-    }
-    if kind not in makers:
+    if kind not in TASK_MAKERS:
         raise ContractViolation(f"unknown task kind {kind!r}")
-    return makers[kind](seed, **kw)
+    return TASK_MAKERS[kind](seed, **kw)
 
 
 # -- oracles ----------------------------------------------------------------------
