@@ -32,15 +32,8 @@ def _grid_configs(args):
         if isinstance(loaded, dict):
             loaded = [loaded]
         return [RunConfig.from_dict(d) for d in loaded]
-    overrides = {}
-    if args.steps is not None:
-        overrides["steps"] = args.steps
-    if args.lr is not None:
-        overrides["lr"] = args.lr
-    if args.window is not None:
-        overrides["window"] = args.window
-    if args.stack is not None:
-        overrides["stack"] = args.stack
+    overrides = {name: getattr(args, name) for name in ("steps", "lr", "window", "stack")
+                 if getattr(args, name) is not None}
     if args.betas is None:
         return default_grid(args.task, seed=args.seed, **overrides)
     return [RunConfig(task=args.task, beta=b, seed=args.seed, **overrides)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import add, mul
 
 import numpy as np
@@ -77,7 +77,8 @@ def check_layout(x, params, extent=None, deformable=False):
     """
     extent = (x.shape[0],) if extent is None else tuple(extent)
     if len(extent) != params.ndim:
-        raise ContractViolation("params were built for a different layout")
+        raise ContractViolation(f"extent {extent} has {len(extent)} axes, params "
+                                f"were built for ndim={params.ndim}")
     if deformable and params.offset_w is None:
         raise ContractViolation("params carry no offset predictor; build with deformable=True")
     n = math.prod(extent)
@@ -99,14 +100,11 @@ def _flat_index(coords, extent):
     return np.where(inside, flat, -1)
 
 
-@lru_cache(maxsize=1024)
 def neighbor_index(extent, point):
     """For each cell, the row of the cell displaced by ``point``; -1 off
-    the edge. Both arguments are tuples; the result is cached, read-only."""
+    the edge."""
     cells = np.indices(extent).reshape(len(extent), -1)
-    idx = _flat_index([c + d for c, d in zip(cells, point)], extent)
-    idx.flags.writeable = False
-    return idx
+    return _flat_index([c + d for c, d in zip(cells, point)], extent)
 
 
 def indicator_weights(extent, kernel):

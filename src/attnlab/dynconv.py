@@ -85,7 +85,7 @@ def dynamic_kernel(h, params: DynamicConvParams):
     return logits.reshape(n, params.n_groups, n_pts).softmax(axis=-1)
 
 
-def dynamic_conv(x, params: DynamicConvParams, extent=None, renormalize=False):
+def dynamic_conv(x, params: DynamicConvParams, extent=None, *, renormalize=False):
     """Full dynamic convolution; x is (n, c_in), a sequence when
     ``extent`` is None, else a row-major grid with an n_k x n_k window."""
     extent = check_layout(x, params, extent)

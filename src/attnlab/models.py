@@ -69,15 +69,14 @@ def cross_entropy(logits, labels):
 
 class _Model:
     """Scaffold of the model families: classifier head, loss, prediction,
-    accuracy and parameter list. A family defines ``logits``; its
-    ``__init__`` lists the trainable parts (parameter sets or tensors) in
-    ``self.parts``, in a fixed order, since gradient clipping sums
+    accuracy and parameter list. A family defines ``logits`` and, if it
+    attends, ``_offsets``; its ``__init__`` lists the trainable tensors
+    in ``self.parts``, in a fixed order, since gradient clipping sums
     squared norms in parameter order."""
 
-    def __init__(self, task, seed, extent):
+    def __init__(self, task, seed):
         c = task.channels
         self.task = task
-        self.extent = extent
         self.rng = Rng(seed)
         self.head_w = self.rng.child(53).param((c, task.vocab), fan_in=c)
         self.head_b = zeros((1, task.vocab), requires_grad=True)
@@ -89,44 +88,44 @@ class _Model:
         return cross_entropy(self.logits(sample), sample["label"])
 
     def predict(self, sample):
-        """The argmax class of every logits row."""
-        return np.argmax(self.logits(sample).data, axis=-1)
+        """The argmax class: an int for a one-label sample, else an array
+        with one class per logits row."""
+        logits = self.logits(sample).data
+        if isinstance(sample["label"], np.ndarray):
+            return np.argmax(logits, axis=-1)
+        return int(np.argmax(logits))
 
     def accuracy(self, sample):
         hits = self.predict(sample) == sample["label"]
-        # count_nonzero rather than mean: this runs once per eval sample
-        return np.count_nonzero(hits) / hits.size
+        # runs once per eval sample: float() of one bool, not the much dearer np.mean
+        return float(hits.mean()) if isinstance(hits, np.ndarray) else float(hits)
 
     def parameters(self):
-        params = []
-        for part in self.parts:
-            params += [part] if isinstance(part, Tensor) else part.parameters()
-        return params
+        return list(self.parts)
 
-    def _attention(self, beta, heads, window, offsets):
-        """The switched attention read over ``offsets``; returns its parts."""
+    def _attention(self, beta, heads, window):
+        """Set up the switched attention read over ``self._offsets()``;
+        its trainable tensors."""
         c = self.task.channels
         self.config = AttentionConfig.from_beta(beta, heads=heads)
         self.attn = AttentionParams(c, heads, enc_dim=c, rng=self.rng.child(50))
-        self.offsets = offsets
-        self.mask = local_mask(offsets, window) if window else None
-        return [self.attn]
+        self.offsets = self._offsets()
+        self.mask = local_mask(self.offsets, window) if window else None
+        return self.attn.parameters()
 
     def _core(self, core, beta, heads, window, n_groups):
-        """A residual self-attention or a zero-gated dynamic conv over
-        ``self.extent``; returns its parts."""
-        c = self.task.channels
+        """Set up a residual self-attention or a zero-gated dynamic conv
+        over ``self.extent``; its trainable tensors."""
         self.core = core
         if core == "attention":
-            offsets = (offset_map_2d(*self.extent, enc_dim=c) if len(self.extent) == 2
-                       else offset_map_1d(self.extent[0], self.extent[0], enc_dim=c))
-            return self._attention(beta, heads, window, offsets)
+            return self._attention(beta, heads, window)
         if core != "dynamic":
             raise ContractViolation(f"unknown core {core!r}")
+        c = self.task.channels
         self.dyn = DynamicConvParams(c, c, kernel=3, n_groups=n_groups,
                                      rng=self.rng.child(52), ndim=len(self.extent))
         self.dyn_scale = zeros((), requires_grad=True)
-        return [self.dyn, self.dyn_scale]
+        return self.dyn.parameters() + [self.dyn_scale]
 
     def _apply_core(self, h):
         if self.core == "attention":
@@ -136,7 +135,8 @@ class _Model:
         return h + dynamic_conv(h, self.dyn, self.extent) * self.dyn_scale
 
     def _deform_unit(self, deformable):
-        """A zero-gated deformable residual on the input sequence; its parts."""
+        """Set up a zero-gated deformable residual on the input sequence,
+        if asked for; its trainable tensors."""
         self.deform = None
         if not deformable:
             return []
@@ -144,7 +144,7 @@ class _Model:
         self.deform = ConvParams(c, c, kernel=3, ndim=1, rng=self.rng.child(51),
                                  deformable=True)
         self.deform_scale = zeros((), requires_grad=True)
-        return [self.deform, self.deform_scale]
+        return self.deform.parameters() + [self.deform_scale]
 
     def _deformed(self, x):
         if self.deform is None:
@@ -156,10 +156,12 @@ class RetrievalModel(_Model):
     """Permuted-copy: one cross-attention read, then classify the result."""
 
     def __init__(self, task, beta, seed, heads=2, deformable=False, window=None):
-        super().__init__(task, seed, (task.extent,))
-        offsets = offset_map_1d(1, task.extent, enc_dim=task.channels)
-        self.parts = (self._attention(beta, heads, window, offsets) + [self.head_w, self.head_b]
+        super().__init__(task, seed)
+        self.parts = (self._attention(beta, heads, window) + [self.head_w, self.head_b]
                       + self._deform_unit(deformable))
+
+    def _offsets(self):
+        return offset_map_1d(1, self.task.extent, enc_dim=self.task.channels)
 
     def logits(self, sample):
         x = self._deformed(Tensor(sample["inputs"]))
@@ -173,12 +175,16 @@ class GridClassifier(_Model):
 
     def __init__(self, task, beta, seed, heads=2, backbone="regular",
                  core="attention", window=None, n_groups=4):
-        super().__init__(task, seed, tuple(task.extent))
+        super().__init__(task, seed)
         c = task.channels
+        self.extent = tuple(task.extent)
         self.backbone = ConvParams(c, c, kernel=3, ndim=2, rng=self.rng.child(51),
                                    deformable=(backbone == "deformable"))
-        self.parts = ([self.backbone, self.head_w, self.head_b]
+        self.parts = (self.backbone.parameters() + [self.head_w, self.head_b]
                       + self._core(core, beta, heads, window, n_groups))
+
+    def _offsets(self):
+        return offset_map_2d(*self.extent, enc_dim=self.task.channels)
 
     def logits(self, sample):
         conv = regular_conv if self.backbone.offset_w is None else deformable_conv
@@ -192,9 +198,13 @@ class DenoiseModel(_Model):
 
     def __init__(self, task, beta, seed, heads=2, core="attention",
                  deformable=False, window=None, n_groups=4):
-        super().__init__(task, seed, (task.extent,))
+        super().__init__(task, seed)
+        self.extent = (task.extent,)
         self.parts = ([self.head_w, self.head_b] + self._deform_unit(deformable)
                       + self._core(core, beta, heads, window, n_groups))
+
+    def _offsets(self):
+        return offset_map_1d(*self.extent, *self.extent, enc_dim=self.task.channels)
 
     def logits(self, sample):
         x = self._deformed(Tensor(sample["inputs"]))

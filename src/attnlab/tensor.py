@@ -379,13 +379,12 @@ class Tensor:
     # -- autodiff ----------------------------------------------------------------
 
     def _accum(self, g):
-        shape = self.data.shape
-        if g.shape != shape:
-            raise ShapeMismatch(f"gradient of shape {g.shape} for a tensor of shape {shape}")
         if not (self.requires_grad or self._parents):
             return
+        if g.shape != self.data.shape:
+            raise ShapeMismatch(f"gradient of shape {g.shape} for a tensor of shape {self.shape}")
         if self.grad is None:
-            self.grad = np.zeros(shape)
+            self.grad = np.zeros(self.shape)
         self.grad += g
 
     def backward(self):

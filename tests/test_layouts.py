@@ -33,10 +33,15 @@ def test_neighbor_index_matches_explicit_shifts():
         np.testing.assert_array_equal(neighbor_index((h, w), (dy, dx)), want)
 
 
-def test_neighbor_index_is_read_only():
-    idx = neighbor_index((4, 4), (1, 0))
-    with pytest.raises(ValueError):
-        idx[0] = 3
+def test_layout_mismatch_names_extent_and_ndim():
+    rng = Rng(2)
+    x = Tensor(rng.uniform(-1, 1, (9, 4)))
+    params = ConvParams(4, 4, 3, ndim=2, rng=rng.child(0))
+    with pytest.raises(ContractViolation, match=r"extent \(9,\) has 1 axes.*ndim=2"):
+        conv.regular_conv2d(x, params)
+    dyn = DynamicConvParams(4, 4, 3, n_groups=2, rng=rng.child(1))
+    with pytest.raises(TypeError):
+        dynconv.dynamic_conv1d(x, dyn, None, True)
 
 
 def test_sequence_extent_equals_default():

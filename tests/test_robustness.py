@@ -1,5 +1,6 @@
-"""Malformed configs become failed rows, errors reach the CSV, and tape
-gradients must match their tensor's shape."""
+"""Malformed configs become failed rows, errors reach the CSV, tape
+gradients must match their tensor's shape, and predictions keep their
+per-family type."""
 
 import csv
 import io
@@ -10,6 +11,7 @@ import pytest
 
 from attnlab.errors import ContractViolation, ShapeMismatch
 from attnlab.harness import RESULT_COLUMNS, RunConfig, emit_results, run_grid, train
+from attnlab.models import build_model
 from attnlab.tasks import make_task
 from attnlab.tensor import Tensor
 
@@ -80,3 +82,20 @@ def test_wrong_shaped_gradient_is_rejected():
     out = Tensor._from_op(w.data.copy(), (w,), lambda g: w._accum(g[0]))
     with pytest.raises(ShapeMismatch):
         out.sum().backward()
+
+
+@pytest.mark.parametrize("kind, stack", [
+    ("permuted-copy", "transformer"),
+    ("salient-detection", "attended-block"),
+    ("windowed-denoise", "transformer"),
+])
+def test_predict_returns_int_or_one_class_per_position(kind, stack):
+    task = make_task(kind, seed=0)
+    model = build_model(task, stack, "1010", seed=0)
+    sample = task.eval_set()[0]
+    pred = model.predict(sample)
+    if np.ndim(sample["label"]) == 0:
+        assert type(pred) is int and 0 <= pred < task.vocab
+    else:
+        assert pred.shape == np.shape(sample["label"])
+    assert 0.0 <= model.accuracy(sample) <= 1.0
