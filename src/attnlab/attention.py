@@ -12,7 +12,8 @@ terms and the key projection between the two key-driven terms, so a
 layer with several terms active is cheaper than the sum of standalone
 terms. Encoded relative offsets are projected once per layer from a
 precomputed table covering every realizable offset; the two positional
-terms then read table rows per query-key pair.
+terms then dot a per-query (or shared) vector with the table row of each
+query-key pair through the fused ``gather_dot`` op.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import ContractViolation, ShapeMismatch
 from .relpos import DEFAULT_BASE, encode_1d, encode_2d
-from .tensor import Rng, Tensor
+from .tensor import Rng, Tensor, gather_dot
 
 # gate order matches the 4-character switch string
 TERMS = ("query_key", "query_pos", "key_only", "pos_only")
@@ -181,13 +182,11 @@ def query_key_energy(z, x, params):
 
 def query_pos_energy(z, offsets, params):
     """Projected query content dotted with the pair's offset embedding."""
-    n_q = z.shape[0]
     out = []
     for m in range(params.heads):
         qe = z @ params.query_embed[m].T
         tbl = Tensor(offsets.table) @ params.pos_embed[m].T
-        gathered = tbl.take_rows(offsets.index)
-        out.append((gathered * qe.reshape(n_q, 1, params.head_dim)).sum(axis=2))
+        out.append(gather_dot(qe, tbl, offsets.index))
     return out
 
 
@@ -211,9 +210,8 @@ def pos_only_energy(offsets, params):
     out = []
     for m in range(params.heads):
         tbl = Tensor(offsets.table) @ params.pos_embed[m].T
-        gathered = tbl.take_rows(offsets.index)
-        v = params.position_bias[m].reshape(1, 1, params.head_dim)
-        out.append((gathered * v).sum(axis=2))
+        v = params.position_bias[m].reshape(1, params.head_dim)
+        out.append(gather_dot(v, tbl, offsets.index))
     return out
 
 
@@ -247,20 +245,18 @@ def attention_weights(z, x, params, config, offsets=None, mask=None):
     for m in range(params.heads):
         qe = z @ params.query_embed[m].T if (g_qk or g_qp) else None
         ke = x @ params.key_embed_[m].T if (g_qk or g_ko) else None
-        gathered = None
         if g_qp or g_po:
             tbl = Tensor(offsets.table) @ params.pos_embed[m].T
-            gathered = tbl.take_rows(offsets.index)
         energy = Tensor(np.zeros((n_q, n_k)))
         if g_qk:
             energy = energy + qe @ ke.T
         if g_qp:
-            energy = energy + (gathered * qe.reshape(n_q, 1, d)).sum(axis=2)
+            energy = energy + gather_dot(qe, tbl, offsets.index)
         if g_ko:
             energy = energy + (ke @ params.content_bias[m]).reshape(1, n_k)
         if g_po:
-            v = params.position_bias[m].reshape(1, 1, d)
-            energy = energy + (gathered * v).sum(axis=2)
+            v = params.position_bias[m].reshape(1, d)
+            energy = energy + gather_dot(v, tbl, offsets.index)
         weights.append(energy.softmax(axis=-1, mask=mask))
     return weights
 

@@ -110,7 +110,7 @@ class _Model:
         self.config = AttentionConfig.from_beta(beta, heads=heads)
         self.attn = AttentionParams(c, heads, enc_dim=c, rng=self.rng.child(50))
         self.offsets = self._offsets()
-        self.mask = local_mask(self.offsets, window) if window else None
+        self.mask = None if window is None else local_mask(self.offsets, window)
         return self.attn.parameters()
 
     def _core(self, core, beta, heads, window, n_groups):

@@ -169,8 +169,18 @@ def _draw_denoise(task, rng):
 # -- constructors ---------------------------------------------------------------
 
 
+def _check_sizes(**sizes):
+    """Raise ContractViolation naming every size that is not a positive int."""
+    bad = [f"{name}={value!r}" for name, value in sizes.items()
+           if isinstance(value, bool) or not isinstance(value, numbers.Integral)
+           or value < 1]
+    if bad:
+        raise ContractViolation(f"sizes must be positive ints: {', '.join(bad)}")
+
+
 def make_permuted_copy_task(seed, vocab=8, length=6, channels=16,
                             eval_size=300):
+    _check_sizes(vocab=vocab, length=length, channels=channels)
     if vocab < 4 or length < 4:
         raise ContractViolation("permuted-copy needs vocab >= 4 and length >= 4")
     if length > vocab:
@@ -184,7 +194,11 @@ def make_permuted_copy_task(seed, vocab=8, length=6, channels=16,
 
 def make_salient_detection_task(seed, extent=(6, 6), classes=4, channels=16,
                                 n_marked=3, eval_size=300):
+    if not isinstance(extent, (tuple, list)) or len(extent) != 2:
+        raise ContractViolation(f"extent must be (height, width), got {extent!r}")
     h, w = extent
+    _check_sizes(height=h, width=w, classes=classes, channels=channels,
+                 n_marked=n_marked)
     if (h * w) % classes != 0:
         raise ContractViolation("class count must divide the cell count")
     if n_marked > (h * w) // classes:
@@ -199,6 +213,9 @@ def make_salient_detection_task(seed, extent=(6, 6), classes=4, channels=16,
 
 def make_windowed_denoise_task(seed, length=16, vocab=5, channels=16,
                                flip=0.2, eval_size=200):
+    _check_sizes(length=length, vocab=vocab, channels=channels)
+    if not (isinstance(flip, numbers.Real) and 0.0 <= flip <= 1.0):
+        raise ContractViolation(f"flip must be a probability, got {flip!r}")
     embed = _orthonormal_rows(vocab, channels, Rng(seed).child(9))
     return ToyTask(
         kind="windowed-denoise", vocab=vocab, extent=length, channels=channels,

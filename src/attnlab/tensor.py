@@ -415,6 +415,53 @@ class Tensor:
                 node.grad = None
 
 
+# query rows whose (rows, n_k, d) gather gather_dot holds at once
+GATHER_DOT_ROWS = 32
+
+
+def gather_dot(a, table, index):
+    """``e[q, k] = a[q] . table[index[q, k]]`` as one tape op.
+
+    ``a`` is (n_q, d), or one (1, d) row shared by every query; ``table``
+    is (n_offsets, d) and ``index`` an (n_q, n_k) array of table rows.
+    The forward gathers table rows for GATHER_DOT_ROWS queries at a time
+    and reduces each block with a batched matmul, so it is charged
+    ``n_q * n_k * d`` MACs, one per pair and channel, and keeps no
+    (n_q, n_k, d) array. The backward sums the output gradient per
+    (row of ``a``, offset) into S with one bincount, then finishes with
+    ``S @ table`` and ``S.T @ a``.
+    """
+    idx = np.asarray(index, dtype=np.int64)
+    if idx.ndim != 2:
+        raise ContractViolation(f"gather_dot needs an (n_q, n_k) index, got shape {idx.shape}")
+    n_q, n_k = idx.shape
+    if a.ndim != 2 or table.ndim != 2 or a.shape[1] != table.shape[1]:
+        raise ShapeMismatch(f"gather_dot needs (n, d) operands, got {a.shape} and {table.shape}")
+    rows = a.shape[0]
+    if rows not in (1, n_q):
+        raise ShapeMismatch(f"gather_dot: {rows} rows of a for {n_q} queries")
+    n_off, d = table.shape
+    if idx.size and (idx.min() < 0 or idx.max() >= n_off):
+        raise ContractViolation(f"index out of range for {n_off} rows")
+    _emit(macs=n_q * n_k * d)
+    data = np.empty((n_q, n_k))
+    column = a.data[:, :, None]
+    for lo in range(0, n_q, GATHER_DOT_ROWS):
+        hi = lo + GATHER_DOT_ROWS
+        # np.take gathers rows about twice as fast as fancy indexing
+        block = np.take(table.data, idx[lo:hi], axis=0)
+        np.matmul(block, column if rows == 1 else column[lo:hi], out=data[lo:hi, :, None])
+
+    def backward(g):
+        scatter = idx if rows == 1 else idx + np.arange(n_q)[:, None] * n_off
+        s = np.bincount(scatter.ravel(), weights=g.ravel(),
+                        minlength=rows * n_off).reshape(rows, n_off)
+        a._accum(s @ table.data)
+        table._accum(s.T @ a.data)
+
+    return Tensor._from_op(data, (a, table), backward)
+
+
 class Rng:
     """Deterministic random stream (numpy PCG64 keyed by a seed tuple).
 

@@ -99,3 +99,32 @@ def test_predict_returns_int_or_one_class_per_position(kind, stack):
     else:
         assert pred.shape == np.shape(sample["label"])
     assert 0.0 <= model.accuracy(sample) <= 1.0
+
+
+@pytest.mark.parametrize("task, options, named", [
+    ("windowed-denoise", {"vocab": 0}, "vocab=0"),
+    ("windowed-denoise", {"length": 0}, "length=0"),
+    ("windowed-denoise", {"channels": -2}, "channels=-2"),
+    ("windowed-denoise", {"flip": 1.5}, "flip"),
+    ("permuted-copy", {"vocab": 0}, "vocab=0"),
+    ("permuted-copy", {"length": -1}, "length=-1"),
+    ("permuted-copy", {"channels": 0}, "channels=0"),
+    ("salient-detection", {"extent": (0, 4)}, "height=0"),
+    ("salient-detection", {"extent": (4, -4)}, "width=-4"),
+    ("salient-detection", {"extent": 6}, "extent"),
+    ("salient-detection", {"classes": 0}, "classes=0"),
+    ("salient-detection", {"channels": 0}, "channels=0"),
+    ("salient-detection", {"n_marked": 0}, "n_marked=0"),
+])
+def test_non_positive_task_size_is_a_failed_row(task, options, named):
+    rec = train(RunConfig(task=task, steps=1, batch_size=1,
+                          task_options=dict(options, eval_size=2)))
+    assert rec.failed and rec.error.startswith("ContractViolation")
+    assert named in rec.error
+
+
+def test_window_zero_is_rejected_not_ignored():
+    task = make_task("windowed-denoise", seed=0)
+    with pytest.raises(ContractViolation, match="window"):
+        build_model(task, "transformer", "0100", seed=0, window=0)
+    assert build_model(task, "transformer", "0100", seed=0).mask is None

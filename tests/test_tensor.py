@@ -1,10 +1,22 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from attnlab.errors import ContractViolation, DegenerateRegion, NumericFault
-from attnlab.tensor import MacCounter, Rng, Tensor, counting, finite_diff_check
+from attnlab.attention import offset_map_2d
+from attnlab.errors import ContractViolation, DegenerateRegion, NumericFault, ShapeMismatch
+from attnlab.tensor import (
+    GATHER_DOT_ROWS,
+    MacCounter,
+    Rng,
+    Tensor,
+    counting,
+    finite_diff_check,
+    gather_dot,
+)
 
 
 def test_matmul_small_case():
@@ -263,3 +275,94 @@ def test_param_init_bounds():
 def test_counter_repr():
     c = MacCounter()
     assert "macs=0" in repr(c)
+
+
+# -- gather_dot -----------------------------------------------------------------
+
+
+@st.composite
+def gather_dot_cases(draw, max_q=6):
+    """Random shapes and index arrays; a small table forces duplicate indices."""
+    n_q = draw(st.integers(1, max_q))
+    n_k = draw(st.integers(1, 6))
+    n_offsets = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 5))
+    shared = draw(st.booleans())
+    index = draw(st.lists(st.integers(0, n_offsets - 1),
+                          min_size=n_q * n_k, max_size=n_q * n_k))
+    seed = draw(st.integers(0, 2**16))
+    return (n_q, n_k, n_offsets, d), shared, np.array(index).reshape(n_q, n_k), Rng(seed)
+
+
+@settings(max_examples=60, deadline=None)
+# past two query blocks, so the blocked forward is covered too
+@given(gather_dot_cases(max_q=2 * GATHER_DOT_ROWS + 5))
+def test_gather_dot_forward_matches_gather_multiply_sum(case):
+    (n_q, n_k, n_offsets, d), shared, index, rng = case
+    a = rng.uniform(-2, 2, (1 if shared else n_q, d))
+    table = rng.uniform(-2, 2, (n_offsets, d))
+    out = gather_dot(Tensor(a), Tensor(table), index)
+    ref = (table[index] * a[:, None, :]).sum(-1)
+    assert out.shape == (n_q, n_k)
+    assert np.abs(out.data - ref).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(gather_dot_cases())
+def test_gather_dot_gradients_pass_finite_difference(case):
+    (n_q, n_k, n_offsets, d), shared, index, rng = case
+    # positive operands keep every non-zero gradient away from zero, where
+    # central differences lose their relative accuracy
+    a = Tensor(rng.uniform(0.5, 1.5, (1 if shared else n_q, d)), requires_grad=True)
+    table = Tensor(rng.uniform(0.5, 1.5, (n_offsets, d)), requires_grad=True)
+    probe = Tensor(rng.uniform(0.5, 1.5, (n_q, n_k)))
+
+    def f():
+        return gather_dot(a, table, index) * probe
+
+    assert finite_diff_check(f, [a, table]) <= 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(gather_dot_cases())
+def test_gather_dot_is_charged_per_pair(case):
+    (n_q, n_k, n_offsets, d), shared, index, rng = case
+    a = Tensor(rng.uniform(-1, 1, (1 if shared else n_q, d)))
+    table = Tensor(rng.uniform(-1, 1, (n_offsets, d)))
+    with counting() as c:
+        gather_dot(a, table, index)
+    assert (c.macs, c.exps, c.divs) == (n_q * n_k * d, 0, 0)
+
+
+def test_gather_dot_rejects_bad_operands():
+    a = Tensor(np.ones((2, 3)))
+    table = Tensor(np.ones((4, 3)))
+    with pytest.raises(ContractViolation):
+        gather_dot(a, table, np.array([[0, 4], [1, 2]]))
+    with pytest.raises(ContractViolation):
+        gather_dot(a, table, np.array([[0, -1], [1, 2]]))
+    with pytest.raises(ContractViolation):
+        gather_dot(a, table, np.array([0, 1]))
+    with pytest.raises(ShapeMismatch):
+        gather_dot(a, Tensor(np.ones((4, 2))), np.zeros((2, 2), dtype=int))
+    with pytest.raises(ShapeMismatch):
+        gather_dot(a, table, np.zeros((3, 2), dtype=int))
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_gather_dot_peak_memory_stays_below_one_pair_gather(shared):
+    offsets = offset_map_2d(24, 24, 16)
+    n_q, n_k = offsets.index.shape
+    d = 8
+    rng = Rng(23)
+    a = Tensor(rng.uniform(-1, 1, (1 if shared else n_q, d)), requires_grad=True)
+    table = Tensor(rng.uniform(-1, 1, (offsets.n_offsets, d)), requires_grad=True)
+    one_gather = n_q * n_k * d * 8  # bytes of one (n_q, n_k, d) float64 array
+    tracemalloc.start()
+    try:
+        gather_dot(a, table, offsets.index).sum().backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < one_gather
+    assert a.grad.shape == a.shape and table.grad.shape == table.shape
