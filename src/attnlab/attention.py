@@ -19,15 +19,14 @@ query-key pair through the fused ``gather_dot`` op.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
 from .errors import ContractViolation, ShapeMismatch
 from .relpos import DEFAULT_BASE, encode_1d, encode_2d
 from .tensor import Rng, Tensor, gather_dot
-
-# gate order matches the 4-character switch string
-TERMS = ("query_key", "query_pos", "key_only", "pos_only")
 
 
 @dataclass(frozen=True)
@@ -247,17 +246,18 @@ def attention_weights(z, x, params, config, offsets=None, mask=None):
         ke = x @ params.key_embed_[m].T if (g_qk or g_ko) else None
         if g_qp or g_po:
             tbl = Tensor(offsets.table) @ params.pos_embed[m].T
-        energy = Tensor(np.zeros((n_q, n_k)))
+        # key_only alone is one (1, n_k) row: the zero grid gives it n_q rows
+        terms = [] if (g_qk or g_qp or g_po) else [Tensor(np.zeros((n_q, n_k)))]
         if g_qk:
-            energy = energy + qe @ ke.T
+            terms.append(qe @ ke.T)
         if g_qp:
-            energy = energy + gather_dot(qe, tbl, offsets.index)
+            terms.append(gather_dot(qe, tbl, offsets.index))
         if g_ko:
-            energy = energy + (ke @ params.content_bias[m]).reshape(1, n_k)
+            terms.append((ke @ params.content_bias[m]).reshape(1, n_k))
         if g_po:
             v = params.position_bias[m].reshape(1, d)
-            energy = energy + gather_dot(v, tbl, offsets.index)
-        weights.append(energy.softmax(axis=-1, mask=mask))
+            terms.append(gather_dot(v, tbl, offsets.index))
+        weights.append(reduce(add, terms).softmax(axis=-1, mask=mask))
     return weights
 
 

@@ -10,13 +10,12 @@ from .checks import run_checks
 from .flops import emit_table
 from .harness import (
     ALL_BETAS,
+    TRAINING_DEFAULTS,
     RunConfig,
     default_grid,
     emit_results,
     run_grid,
 )
-
-TASKS = ("permuted-copy", "salient-detection", "windowed-denoise")
 
 
 def _parse_betas(text):
@@ -42,6 +41,9 @@ def _grid_configs(args):
 
 def _cmd_grid(args):
     configs = _grid_configs(args)
+    if not configs:
+        print("grid: no run configs to run", file=sys.stderr)
+        return 2
     task = configs[0].task
     records = run_grid(task, configs)
     if args.out:
@@ -87,7 +89,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     grid = sub.add_parser("grid", help="run an ablation grid, emit CSV")
-    grid.add_argument("--task", choices=TASKS, default="permuted-copy")
+    grid.add_argument("--task", choices=tuple(TRAINING_DEFAULTS), default="permuted-copy")
     grid.add_argument("--stack", default=None,
                       help="e.g. attended-block+deformable (default: the "
                            "task's base stack)")

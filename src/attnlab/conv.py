@@ -4,25 +4,27 @@ A regular convolution is attention with one head per sampling point:
 the head attends with weight one to the key sitting at the query plus
 that point's offset (keys off the edge contribute zero), the value
 projection is the identity, and the head's output projection carries
-the learnable kernel slice. The forward here reads those indicator
-weights as a gather, which is the same arithmetic without storing the
-one-hot matrices; ``indicator_weights`` materializes them for anyone
-who wants the literal attention view.
+the learnable kernel slice. The forward reads those indicator weights
+as one gather of an (n, K) neighbour table and aggregates it with one
+packed (K * c_in, c_out) kernel, which is the same arithmetic without
+storing the one-hot matrices; ``indicator_weights`` materializes them
+for anyone who wants the literal attention view.
 
 The deformable variant displaces every sampling point by an offset
 predicted from the query's content (a shared 1x1 projection, zero
 initialized, stepped at a tenth of the global learning rate) and reads
 features at the fractional result through the linear interpolation
 kernel g(a, b) = max(0, 1 - |a - b|), multiplied across axes. Reads
-outside the extent return zero. With the predictor at zero it
-reproduces the regular convolution bit for bit.
+outside the extent return zero. It ends in the regular convolution's
+matmul, so with the predictor at zero it reproduces that convolution bit
+for bit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from functools import reduce
+from functools import cache, reduce
 from operator import add, mul
 
 import numpy as np
@@ -44,29 +46,35 @@ def kernel_points(kernel, ndim):
 
 
 class ConvParams:
-    """One (c_out, c_in) weight per sampling point; optionally an offset
-    predictor for the deformable variant."""
+    """One packed (K * c_in, c_out) kernel whose rows m * c_in to
+    (m + 1) * c_in hold point m's (c_out, c_in) kernel, transposed;
+    optionally an offset predictor for the deformable variant."""
 
     def __init__(self, c_in, c_out, kernel, ndim, rng: Rng, deformable=False):
         self.c_in = c_in
         self.c_out = c_out
         self.kernel = kernel
         self.ndim = ndim
-        self.points = kernel_points(kernel, ndim)
-        fan_in = c_in * len(self.points)
-        self.point_weights = [rng.param((c_out, c_in), fan_in=fan_in) for _ in self.points]
+        self.points = tuple(kernel_points(kernel, ndim))
+        k = len(self.points)
+        # one draw of K (c_out, c_in) blocks gives the numbers of K draws
+        drawn = rng.param((k, c_out, c_in), fan_in=c_in * k).data
+        self.weight = Tensor(drawn.transpose(0, 2, 1).reshape(k * c_in, c_out),
+                             requires_grad=True)
         if deformable:
-            self.offset_w = zeros(
-                (c_in, ndim * len(self.points)), requires_grad=True, lr_scale=OFFSET_LR_SCALE
-            )
+            self.offset_w = zeros((c_in, ndim * k), requires_grad=True, lr_scale=OFFSET_LR_SCALE)
         else:
             self.offset_w = None
 
+    @property
+    def point_weights(self):
+        """Per-point (c_out, c_in) kernels: read-only views of ``weight``."""
+        blocks = self.weight.data.reshape(-1, self.c_in, self.c_out).transpose(0, 2, 1)
+        blocks.flags.writeable = False
+        return [Tensor(block, lr_scale=self.weight.lr_scale) for block in blocks]
+
     def parameters(self):
-        out = list(self.point_weights)
-        if self.offset_w is not None:
-            out.append(self.offset_w)
-        return out
+        return [self.weight] + ([] if self.offset_w is None else [self.offset_w])
 
 
 def check_layout(x, params, extent=None, deformable=False):
@@ -100,11 +108,26 @@ def _flat_index(coords, extent):
     return np.where(inside, flat, -1)
 
 
+def _displaced(extent, points):
+    """Integer coordinates of every cell displaced by every point,
+    shape (ndim, n, K)."""
+    cells = np.indices(extent).reshape(len(extent), -1, 1)
+    return cells + np.array(points, dtype=np.int64).T[:, None, :]
+
+
+@cache
+def neighbor_table(extent, points):
+    """(n, K) rows of each cell displaced by each point, -1 off the edge;
+    built once per key and shared, so read-only."""
+    table = _flat_index(_displaced(extent, points), extent)
+    table.flags.writeable = False
+    return table
+
+
 def neighbor_index(extent, point):
     """For each cell, the row of the cell displaced by ``point``; -1 off
     the edge."""
-    cells = np.indices(extent).reshape(len(extent), -1)
-    return _flat_index([c + d for c, d in zip(cells, point)], extent)
+    return neighbor_table(tuple(extent), (tuple(point),))[:, 0]
 
 
 def indicator_weights(extent, kernel):
@@ -117,8 +140,7 @@ def indicator_weights(extent, kernel):
     extent = tuple(int(s) for s in np.atleast_1d(extent))
     n = math.prod(extent)
     mats = []
-    for point in kernel_points(kernel, len(extent)):
-        idx = neighbor_index(extent, point)
+    for idx in neighbor_table(extent, tuple(kernel_points(kernel, len(extent)))).T:
         rows = np.flatnonzero(idx >= 0)
         mat = np.zeros((n, n))
         mat[rows, idx[rows]] = 1.0
@@ -126,12 +148,16 @@ def indicator_weights(extent, kernel):
     return mats
 
 
+def _aggregate(sampled, params: ConvParams):
+    """(n, K, c_in) samples times the packed kernel: (n, c_out)."""
+    return sampled.reshape(sampled.shape[0], -1) @ params.weight
+
+
 def regular_conv(x, params: ConvParams, extent=None):
     """Convolution with zero padding; x is (n, c_in), a sequence when
     ``extent`` is None, else a row-major grid of that extent."""
     extent = check_layout(x, params, extent)
-    return reduce(add, (x.take_rows(neighbor_index(extent, point), oob_zero=True) @ wm.T
-                        for wm, point in zip(params.point_weights, params.points)))
+    return _aggregate(x.take_rows(neighbor_table(extent, params.points), oob_zero=True), params)
 
 
 def linear_kernel(a, b):
@@ -141,21 +167,19 @@ def linear_kernel(a, b):
 
 
 def _interpolate(x, positions, extent):
-    """Rows of x read at fractional cells, one (n, 1) position per axis.
+    """Rows of x read at fractional cells, one (n, K) position per axis.
 
     Each read sums the 2**ndim surrounding cells, weighted by the product
     of the per-axis linear kernels; cells outside the extent read zero.
     """
-    n = x.shape[0]
     lows = [np.floor(pos.data) for pos in positions]
     kernels = [(linear_kernel(pos, Tensor(lo)), linear_kernel(pos, Tensor(lo + 1.0)))
                for pos, lo in zip(positions, lows)]
     sampled = []
     for corner in itertools.product((0, 1), repeat=len(extent)):
-        idx = _flat_index([(lo + bit).astype(np.int64).reshape(n)
-                           for lo, bit in zip(lows, corner)], extent)
+        idx = _flat_index([(lo + bit).astype(np.int64) for lo, bit in zip(lows, corner)], extent)
         weight = reduce(mul, (k[bit] for k, bit in zip(kernels, corner)))
-        sampled.append(x.take_rows(idx, oob_zero=True) * weight)
+        sampled.append(x.take_rows(idx, oob_zero=True) * weight.reshape(*idx.shape, 1))
     return reduce(add, sampled)
 
 
@@ -163,15 +187,13 @@ def deformable_conv(x, params: ConvParams, extent=None):
     """Deformable convolution; x is (n, c_in), laid out as in regular_conv."""
     extent = check_layout(x, params, extent, deformable=True)
     ndim = len(extent)
-    disp = x @ params.offset_w
-    cells = np.indices(extent).reshape(ndim, -1, 1).astype(np.float64)
-    contribs = []
-    for m, (wm, point) in enumerate(zip(params.point_weights, params.points)):
-        # column ndim * m + axis displaces point m along that axis
-        positions = [disp.slice_cols(ndim * m + axis, ndim * m + axis + 1) + Tensor(cells[axis] + d)
-                     for axis, d in enumerate(point)]
-        contribs.append(_interpolate(x, positions, extent) @ wm.T)
-    return reduce(add, contribs)
+    n, k = x.shape[0], len(params.points)
+    # column ndim * m + axis displaces point m along that axis
+    disp = (x @ params.offset_w).reshape(-1)
+    column = (np.arange(n)[:, None] * k + np.arange(k)) * ndim
+    positions = [disp.take_rows(column + axis) + Tensor(cells)
+                 for axis, cells in enumerate(_displaced(extent, params.points))]
+    return _aggregate(_interpolate(x, positions, extent), params)
 
 
 # Layout-named aliases: the layout itself comes from ``extent``.

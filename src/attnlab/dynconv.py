@@ -16,12 +16,9 @@ rescales the in-range weights to sum to one instead.
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import add
-
 import numpy as np
 
-from .conv import check_layout, kernel_points, neighbor_index
+from .conv import check_layout, kernel_points, neighbor_table
 from .errors import ContractViolation, ShapeMismatch
 from .tensor import Rng, Tensor
 
@@ -46,7 +43,7 @@ class DynamicConvParams:
         self.kernel = kernel
         self.n_groups = n_groups
         self.ndim = ndim
-        self.points = kernel_points(kernel, ndim)
+        self.points = tuple(kernel_points(kernel, ndim))
         self.glu_lin_w = rng.param((c_in, c_in), fan_in=c_in)
         self.glu_lin_b = rng.param((1, c_in), fan_in=c_in)
         self.glu_gate_w = rng.param((c_in, c_in), fan_in=c_in)
@@ -89,22 +86,20 @@ def dynamic_conv(x, params: DynamicConvParams, extent=None, *, renormalize=False
     """Full dynamic convolution; x is (n, c_in), a sequence when
     ``extent`` is None, else a row-major grid with an n_k x n_k window."""
     extent = check_layout(x, params, extent)
-    n = x.shape[0]
+    n, c = x.shape
     h = glu(x, params)
     n_pts = len(params.points)
-    flat = dynamic_kernel(h, params).reshape(n, params.n_groups * n_pts)
-    # channel c reads its group's kernel: duplication happens in the gather
-    size = params.c_in // params.n_groups
-    col_of_channel = np.repeat(np.arange(params.n_groups) * n_pts, size)
-    coeffs = [flat.take_cols(col_of_channel + j) for j in range(n_pts)]
-    indices = [neighbor_index(extent, point) for point in params.points]
+    # coefficient (i, j, ch) is kernel[i, group of ch, j]: the per-group
+    # duplication happens inside the gather
+    group = np.arange(c) // (c // params.n_groups)
+    rows = ((np.arange(n)[:, None, None] * params.n_groups + group) * n_pts
+            + np.arange(n_pts)[:, None])
+    coeffs = dynamic_kernel(h, params).reshape(-1).take_rows(rows)
+    table = neighbor_table(extent, params.points)
     if renormalize:
-        mass = reduce(add, (coeff * Tensor((idx >= 0).astype(np.float64).reshape(n, 1))
-                            for coeff, idx in zip(coeffs, indices)))
-        scale = mass.reciprocal()
-        coeffs = [c * scale for c in coeffs]
-    mixed = reduce(add, (coeff * h.take_rows(idx, oob_zero=True)
-                         for coeff, idx in zip(coeffs, indices)))
+        inside = Tensor((table >= 0).astype(np.float64)[:, :, None])
+        coeffs = coeffs * (coeffs * inside).sum(axis=1, keepdims=True).reciprocal()
+    mixed = (coeffs * h.take_rows(table, oob_zero=True)).sum(axis=1)
     return mixed @ params.point_w.T
 
 

@@ -185,12 +185,13 @@ def default_grid(task, seed=0, betas=ALL_BETAS, **overrides):
 
     All beta switch settings on the base stack; for self-attention tasks
     also the deformable-backbone rows at the two betas the cost story
-    compares, plus the dynamic-conv row.
+    compares, plus the dynamic-conv row. A ``stack`` override gives only
+    the beta rows, on that stack.
     """
     base = DEFAULT_STACK[task]
     configs = [RunConfig(task=task, beta=b, seed=seed, **overrides)
                for b in betas]
-    if task != "permuted-copy":
+    if task != "permuted-copy" and overrides.get("stack") is None:
         for b in ("0010", "1111"):
             configs.append(RunConfig(task=task, beta=b, seed=seed,
                                      stack=base + "+deformable", **overrides))

@@ -12,6 +12,7 @@ separate buckets. Backward passes emit nothing.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -314,35 +315,6 @@ class Tensor:
 
         return Tensor._from_op(data, (self,), backward)
 
-    def take_cols(self, indices):
-        """Gather matrix columns; duplicated indices replicate columns."""
-        if self.ndim != 2:
-            raise ShapeMismatch(f"take_cols expects a matrix, got shape {self.shape}")
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.ndim != 1:
-            raise ContractViolation("take_cols needs a flat index list")
-        if idx.size and (idx.min() < 0 or idx.max() >= self.shape[1]):
-            raise ContractViolation(f"index out of range for {self.shape[1]} columns")
-
-        def backward(g):
-            gt = np.zeros_like(self.data.T)
-            np.add.at(gt, idx, g.T)
-            self._accum(gt.T)
-
-        return Tensor._from_op(self.data[:, idx].copy(), (self,), backward)
-
-    def slice_cols(self, start, stop):
-        """Columns [start, stop) of a matrix as a fresh tensor."""
-        if self.ndim != 2:
-            raise ShapeMismatch(f"slice_cols expects a matrix, got shape {self.shape}")
-
-        def backward(g):
-            gt = np.zeros_like(self.data)
-            gt[:, start:stop] = g
-            self._accum(gt)
-
-        return Tensor._from_op(self.data[:, start:stop].copy(), (self,), backward)
-
     # -- gathers ------------------------------------------------------------------
 
     def take_rows(self, indices, oob_zero=False):
@@ -351,28 +323,26 @@ class Tensor:
         Result shape is ``indices.shape + self.shape[1:]``. With
         ``oob_zero`` out-of-range rows read as zeros and receive no
         gradient, which is the boundary convention for spatial sampling.
+        The backward sums the gradient per (row, entry) pair with one
+        bincount; off-edge reads land in a spare row n that is dropped.
         """
         idx = np.asarray(indices, dtype=np.int64)
         n = self.shape[0]
         if oob_zero:
             ok = (idx >= 0) & (idx < n)
-            safe = np.where(ok, idx, 0)
-            data = self.data[safe]
+            data = np.take(self.data, np.where(ok, idx, 0), axis=0)
             data[~ok] = 0.0
+            idx = np.where(ok, idx, n)
         else:
             if idx.size and (idx.min() < 0 or idx.max() >= n):
                 raise ContractViolation(f"index out of range for {n} rows")
-            ok = np.ones(idx.shape, dtype=bool)
-            safe = idx
-            data = self.data[safe]
+            data = np.take(self.data, idx, axis=0)
 
         def backward(g):
-            gt = np.zeros_like(self.data)
-            flat_idx = safe.reshape(-1)
-            flat_ok = ok.reshape(-1)
-            gflat = g.reshape(-1, *self.shape[1:])
-            np.add.at(gt, flat_idx[flat_ok], gflat[flat_ok])
-            self._accum(gt)
+            width = math.prod(self.shape[1:])
+            pairs = idx.reshape(-1, 1) * width + np.arange(width)
+            gt = np.bincount(pairs.ravel(), weights=g.ravel(), minlength=(n + 1) * width)
+            self._accum(gt[:n * width].reshape(self.shape))
 
         return Tensor._from_op(data, (self,), backward)
 
@@ -384,8 +354,10 @@ class Tensor:
         if g.shape != self.data.shape:
             raise ShapeMismatch(f"gradient of shape {g.shape} for a tensor of shape {self.shape}")
         if self.grad is None:
-            self.grad = np.zeros(self.shape)
-        self.grad += g
+            # a copy: g may be shared with another parent or be a view
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def backward(self):
         """Reverse-sweep from a scalar loss, accumulating leaf grads."""

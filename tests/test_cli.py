@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from attnlab import harness
 from attnlab.cli import main
-from attnlab.harness import RESULT_COLUMNS
+from attnlab.harness import RESULT_COLUMNS, ResultRecord
 
 
 def test_grid_subcommand_writes_csv(tmp_path, capsys):
@@ -59,3 +60,30 @@ def test_check_subcommand_subset(capsys):
 def test_unknown_task_rejected():
     with pytest.raises(SystemExit):
         main(["grid", "--task", "sorting"])
+
+
+def test_grid_with_a_fixed_stack_runs_the_beta_rows_on_it(monkeypatch, capsys):
+    ran = []
+
+    def fake_train(config):
+        ran.append(config)
+        return ResultRecord(task=config.task, stack=config.stack, beta=config.beta,
+                            accuracy=0.5, macs=1, wall_ms=0.0, seed=config.seed)
+
+    monkeypatch.setattr(harness, "train", fake_train)
+    code = main(["grid", "--task", "salient-detection",
+                 "--stack", "attended-block+deformable", "--steps", "0"])
+    assert code == 0
+    assert [c.beta for c in ran] == list(harness.ALL_BETAS)
+    assert {c.stack for c in ran} == {"attended-block+deformable"}
+    assert len(capsys.readouterr().out.strip().split("\n")) == 1 + 16
+
+
+def test_grid_with_an_empty_config_list_exits_2(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text("[]", encoding="utf-8")
+    code = main(["grid", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "no run configs" in captured.err

@@ -366,3 +366,94 @@ def test_gather_dot_peak_memory_stays_below_one_pair_gather(shared):
         tracemalloc.stop()
     assert peak < one_gather
     assert a.grad.shape == a.shape and table.grad.shape == table.shape
+
+
+# -- take_rows -------------------------------------------------------------------
+
+
+@st.composite
+def take_rows_cases(draw):
+    """A source of n rows, an index array of 1-3 dimensions drawn from a
+    narrow range so rows repeat, and whether off-edge reads are allowed."""
+    n = draw(st.integers(1, 6))
+    row_shape = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    index_shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    oob_zero = draw(st.booleans())
+    low, high = (-2, n + 1) if oob_zero else (0, n - 1)
+    index = draw(st.lists(st.integers(low, high), min_size=math.prod(index_shape),
+                          max_size=math.prod(index_shape)))
+    seed = draw(st.integers(0, 2**16))
+    return (n, *row_shape), np.array(index).reshape(index_shape), oob_zero, Rng(seed)
+
+
+def _take_rows_reference(x, index):
+    """x[index] with off-edge rows zero, and the scatter of g back onto x."""
+    inside = (index >= 0) & (index < x.shape[0])
+    out = x[np.where(inside, index, 0)]
+    out[~inside] = 0.0
+
+    def scatter(g):
+        grad = np.zeros_like(x)
+        for pos in zip(*np.nonzero(inside)):
+            grad[index[pos]] += g[pos]
+        return grad
+
+    return out, scatter
+
+
+@settings(max_examples=60, deadline=None)
+@given(take_rows_cases())
+def test_take_rows_forward_and_scatter_match_numpy(case):
+    shape, index, oob_zero, rng = case
+    x = Tensor(rng.uniform(-2, 2, shape), requires_grad=True)
+    out = x.take_rows(index, oob_zero=oob_zero)
+    want, scatter = _take_rows_reference(x.data, index)
+    assert out.shape == index.shape + shape[1:]
+    assert np.array_equal(out.data, want)
+    probe = rng.uniform(-1, 1, out.shape)
+    (out * Tensor(probe)).sum().backward()
+    # off-edge reads add nothing: only in-range reads reach a row's gradient
+    np.testing.assert_allclose(x.grad, scatter(probe), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(take_rows_cases())
+def test_take_rows_gradients_pass_finite_difference(case):
+    shape, index, oob_zero, rng = case
+    x = Tensor(rng.uniform(0.5, 1.5, shape), requires_grad=True)
+    probe = Tensor(rng.uniform(0.5, 1.5, index.shape + shape[1:]))
+
+    def f():
+        return x.take_rows(index, oob_zero=oob_zero) * probe
+
+    assert finite_diff_check(f, [x]) <= 1e-6
+
+
+def test_take_rows_off_edge_only_reads_get_no_gradient():
+    x = Tensor(np.ones((3, 2)), requires_grad=True)
+    out = x.take_rows(np.array([[-1, 3], [5, -4]]), oob_zero=True)
+    assert np.array_equal(out.data, np.zeros((2, 2, 2)))
+    out.sum().backward()
+    assert np.array_equal(x.grad, np.zeros((3, 2)))
+
+
+# -- gradient accumulation ---------------------------------------------------------
+
+
+def test_first_gradient_is_stored_as_a_private_copy():
+    a = Tensor(np.ones((2, 3)), requires_grad=True)
+    b = Tensor(np.full((2, 3), 2.0), requires_grad=True)
+    # __add__ hands one array to both parents; a then takes a second term
+    ((a + b) + a * 3.0).sum().backward()
+    assert np.array_equal(a.grad, np.full((2, 3), 4.0))
+    assert np.array_equal(b.grad, np.ones((2, 3)))
+    assert not np.shares_memory(a.grad, b.grad)
+
+    c = Tensor(np.arange(6.0), requires_grad=True)
+    d = Tensor(np.ones((3, 2)), requires_grad=True)
+    # reshape and .T pass views of their own gradient down
+    r = c.reshape(2, 3)
+    ((r * r).T + d + r.T).sum().backward()
+    np.testing.assert_array_equal(c.grad, 2.0 * np.arange(6.0) + 1.0)
+    np.testing.assert_array_equal(d.grad, np.ones((3, 2)))
+    assert not np.shares_memory(c.grad, d.grad)
