@@ -226,49 +226,65 @@ def pos_only_profile(offsets, params):
 # -- the layer ----------------------------------------------------------------
 
 
-def attention_weights(z, x, params, config, offsets=None, mask=None):
-    """Per-head attention weight matrices, shape (n_q, n_k) each.
+def _rows_per_sample(t, batch, what):
+    """Rows of one sample in a batch stacked along the rows of ``t``."""
+    if batch < 1 or t.shape[0] % batch:
+        raise ShapeMismatch(f"{what} has {t.shape[0]} rows, not a batch of {batch} samples")
+    return t.shape[0] // batch
 
-    Shared projections are computed once: the query projection feeds
-    both query-driven terms and the key projection both key-driven
-    terms. Positional terms need ``offsets``.
+
+def attention_weights(z, x, params, config, offsets=None, mask=None, *, batch=1):
+    """Per-head attention weight matrices, shape (batch * n_q, n_k) each.
+
+    ``z`` and ``x`` stack ``batch`` samples along their rows; the rows of
+    each sample attend only to the keys of the same sample. Shared
+    projections are computed once: the query projection feeds both
+    query-driven terms and the key projection both key-driven terms.
+    Positional terms need ``offsets``.
     """
     g_qk, g_qp, g_ko, g_po = config.gates
     if config.heads != params.heads:
         raise ShapeMismatch(f"config has {config.heads} heads, params {params.heads}")
     if (g_qp or g_po) and offsets is None:
         raise ContractViolation("positional terms need an OffsetMap")
-    n_q, n_k = z.shape[0], x.shape[0]
+    n_q = _rows_per_sample(z, batch, "z")
+    n_k = _rows_per_sample(x, batch, "x")
     d = params.head_dim
     weights = []
     for m in range(params.heads):
-        qe = z @ params.query_embed[m].T if (g_qk or g_qp) else None
+        qe = (z @ params.query_embed[m].T).reshape(batch, n_q, d) if (g_qk or g_qp) else None
         ke = x @ params.key_embed_[m].T if (g_qk or g_ko) else None
         if g_qp or g_po:
             tbl = Tensor(offsets.table) @ params.pos_embed[m].T
-        # key_only alone is one (1, n_k) row: the zero grid gives it n_q rows
-        terms = [] if (g_qk or g_qp or g_po) else [Tensor(np.zeros((n_q, n_k)))]
+        # key_only is one (batch, 1, n_k) row per sample and pos_only one
+        # (n_q, n_k) grid for the whole batch: alone or with each other
+        # only, the zero grid gives the sum its (batch, n_q, n_k) shape
+        full = g_qk or g_qp or (g_ko and g_po)
+        terms = [] if full else [Tensor(np.zeros((batch, n_q, n_k)))]
         if g_qk:
-            terms.append(qe @ ke.T)
+            terms.append(qe @ ke.reshape(batch, n_k, d).T)
         if g_qp:
             terms.append(gather_dot(qe, tbl, offsets.index))
         if g_ko:
-            terms.append((ke @ params.content_bias[m]).reshape(1, n_k))
+            terms.append((ke @ params.content_bias[m]).reshape(batch, 1, n_k))
         if g_po:
             v = params.position_bias[m].reshape(1, d)
             terms.append(gather_dot(v, tbl, offsets.index))
-        weights.append(reduce(add, terms).softmax(axis=-1, mask=mask))
+        energy = reduce(add, terms).softmax(axis=-1, mask=mask)
+        weights.append(energy.reshape(batch * n_q, n_k))
     return weights
 
 
-def attention_forward(z, x, params, config, offsets=None, mask=None, mode="self", residual=False):
+def attention_forward(z, x, params, config, offsets=None, mask=None, mode="self",
+                      residual=False, *, batch=1):
     """Full layer: switched attention weights, low-rank value aggregation,
     per-head output projection, optional gated residual.
 
     In "self" mode ``z`` and ``x`` must be the same tensor; "cross" mode
-    attends from one set onto another. With ``residual=True`` the output
-    is ``z + res_scale * y`` and ``res_scale`` starts at zero, so an
-    untrained layer passes its input through untouched.
+    attends from one set onto another. Both stack ``batch`` samples along
+    their rows. With ``residual=True`` the output is ``z + res_scale * y``
+    and ``res_scale`` starts at zero, so an untrained layer passes its
+    input through untouched.
     """
     if mode == "self":
         if z is not x:
@@ -279,11 +295,13 @@ def attention_forward(z, x, params, config, offsets=None, mask=None, mode="self"
         raise ShapeMismatch(
             f"inputs have {z.shape[1]}/{x.shape[1]} channels, params expect {params.channels}"
         )
-    weights = attention_weights(z, x, params, config, offsets, mask)
+    weights = attention_weights(z, x, params, config, offsets, mask, batch=batch)
+    n_q = z.shape[0] // batch
+    n_k = x.shape[0] // batch
     y = None
     for m in range(params.heads):
-        vm = x @ params.value_proj[m].T
-        head = weights[m] @ vm
+        vm = (x @ params.value_proj[m].T).reshape(batch, n_k, params.head_dim)
+        head = (weights[m].reshape(batch, n_q, n_k) @ vm).reshape(batch * n_q, params.head_dim)
         contrib = head @ params.out_proj[m]
         y = contrib if y is None else y + contrib
     if residual:

@@ -7,6 +7,7 @@ import json
 import sys
 
 from .checks import run_checks
+from .errors import ContractViolation
 from .flops import emit_table
 from .harness import (
     ALL_BETAS,
@@ -25,12 +26,18 @@ def _parse_betas(text):
 
 
 def _grid_configs(args):
+    """The run configs of the flags or of the --config file; raises
+    ContractViolation, OSError or ValueError on a bad file."""
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             loaded = json.load(fh)
-        if isinstance(loaded, dict):
+        if not isinstance(loaded, list):
             loaded = [loaded]
-        return [RunConfig.from_dict(d) for d in loaded]
+        configs = [RunConfig.from_dict(d) for d in loaded]
+        if any(c.task != configs[0].task for c in configs):
+            raise ContractViolation("--config lists runs of more than one task; "
+                                    "a grid runs one task")
+        return configs
     overrides = {name: getattr(args, name) for name in ("steps", "lr", "window", "stack")
                  if getattr(args, name) is not None}
     if args.betas is None:
@@ -40,7 +47,11 @@ def _grid_configs(args):
 
 
 def _cmd_grid(args):
-    configs = _grid_configs(args)
+    try:
+        configs = _grid_configs(args)
+    except (OSError, ValueError) as exc:  # ContractViolation is a ValueError
+        print(f"grid: {args.config}: {exc}", file=sys.stderr)
+        return 2
     if not configs:
         print("grid: no run configs to run", file=sys.stderr)
         return 2

@@ -77,49 +77,62 @@ class ConvParams:
         return [self.weight] + ([] if self.offset_w is None else [self.offset_w])
 
 
-def check_layout(x, params, extent=None, deformable=False):
-    """The extent tuple of x, checked against conv or dynamic conv params.
+def check_layout(x, params, extent=None, deformable=False, batch=1):
+    """The extent tuple of one sample of x, checked against conv or
+    dynamic conv params; x stacks ``batch`` samples along its rows.
 
-    ``extent=None`` means a sequence of ``x.shape[0]`` cells; a tuple
-    gives the sizes of a row-major grid.
+    ``extent=None`` means sequences of ``x.shape[0] // batch`` cells; a
+    tuple gives the sizes of a row-major grid.
     """
-    extent = (x.shape[0],) if extent is None else tuple(extent)
+    if batch < 1 or x.shape[0] % batch:
+        raise ShapeMismatch(f"input has {x.shape[0]} rows, not a batch of {batch} samples")
+    extent = (x.shape[0] // batch,) if extent is None else tuple(extent)
     if len(extent) != params.ndim:
         raise ContractViolation(f"extent {extent} has {len(extent)} axes, params "
                                 f"were built for ndim={params.ndim}")
     if deformable and params.offset_w is None:
         raise ContractViolation("params carry no offset predictor; build with deformable=True")
-    n = math.prod(extent)
+    n = math.prod(extent) * batch
     if x.shape[0] != n:
-        raise ShapeMismatch(f"input has {x.shape[0]} cells, extent {extent} implies {n}")
+        raise ShapeMismatch(f"input has {x.shape[0]} cells, extent {extent} and batch "
+                            f"{batch} imply {n}")
     if x.shape[1] != params.c_in:
         raise ShapeMismatch(f"input has {x.shape[1]} channels, params expect {params.c_in}")
     return extent
 
 
-def _flat_index(coords, extent):
-    """Row-major index of per-axis integer coordinates; -1 where any axis
-    falls outside the extent."""
+def _flat_index(coords, extent, first=0):
+    """Row of per-axis integer coordinates in a row-major grid whose
+    cell (0, ...) sits at row ``first``; -1 where any axis falls outside
+    the extent."""
     flat = 0
     inside = True
     for coord, size in zip(coords, extent):
         inside = inside & (coord >= 0) & (coord < size)
         flat = flat * size + coord
-    return np.where(inside, flat, -1)
+    return np.where(inside, flat + first, -1)
 
 
-def _displaced(extent, points):
-    """Integer coordinates of every cell displaced by every point,
-    shape (ndim, n, K)."""
+def _displaced(extent, points, batch):
+    """Integer coordinates of every cell displaced by every point, for
+    ``batch`` samples stacked along the rows, shape (ndim, batch * n, K)."""
     cells = np.indices(extent).reshape(len(extent), -1, 1)
-    return cells + np.array(points, dtype=np.int64).T[:, None, :]
+    return np.tile(cells + np.array(points, dtype=np.int64).T[:, None, :], (1, batch, 1))
+
+
+def _first_rows(extent, batch):
+    """(batch * n, 1): the row where each row's sample starts."""
+    n = math.prod(extent)
+    return np.repeat(np.arange(batch) * n, n)[:, None]
 
 
 @cache
-def neighbor_table(extent, points):
-    """(n, K) rows of each cell displaced by each point, -1 off the edge;
-    built once per key and shared, so read-only."""
-    table = _flat_index(_displaced(extent, points), extent)
+def neighbor_table(extent, points, batch=1):
+    """(batch * n, K) rows of each cell displaced by each point, -1 off
+    the edge, for ``batch`` samples stacked along the rows: each sample's
+    rows point into its own sample. Built once per key and shared, so
+    read-only."""
+    table = _flat_index(_displaced(extent, points, batch), extent, _first_rows(extent, batch))
     table.flags.writeable = False
     return table
 
@@ -153,11 +166,13 @@ def _aggregate(sampled, params: ConvParams):
     return sampled.reshape(sampled.shape[0], -1) @ params.weight
 
 
-def regular_conv(x, params: ConvParams, extent=None):
-    """Convolution with zero padding; x is (n, c_in), a sequence when
-    ``extent`` is None, else a row-major grid of that extent."""
-    extent = check_layout(x, params, extent)
-    return _aggregate(x.take_rows(neighbor_table(extent, params.points), oob_zero=True), params)
+def regular_conv(x, params: ConvParams, extent=None, *, batch=1):
+    """Convolution with zero padding; x is (batch * n, c_in), ``batch``
+    samples stacked along the rows, each a sequence when ``extent`` is
+    None, else a row-major grid of that extent."""
+    extent = check_layout(x, params, extent, batch=batch)
+    table = neighbor_table(extent, params.points, batch)
+    return _aggregate(x.take_rows(table, oob_zero=True), params)
 
 
 def linear_kernel(a, b):
@@ -166,34 +181,38 @@ def linear_kernel(a, b):
     return (1.0 - diff.abs()).relu() if isinstance(diff, Tensor) else np.maximum(0.0, 1.0 - np.abs(diff))
 
 
-def _interpolate(x, positions, extent):
-    """Rows of x read at fractional cells, one (n, K) position per axis.
+def _interpolate(x, positions, extent, first):
+    """Rows of x read at fractional cells, one (batch * n, K) position
+    per axis, each within its own sample's extent.
 
     Each read sums the 2**ndim surrounding cells, weighted by the product
     of the per-axis linear kernels; cells outside the extent read zero.
+    ``first`` is the (batch * n, 1) row where each row's sample starts.
     """
     lows = [np.floor(pos.data) for pos in positions]
     kernels = [(linear_kernel(pos, Tensor(lo)), linear_kernel(pos, Tensor(lo + 1.0)))
                for pos, lo in zip(positions, lows)]
     sampled = []
     for corner in itertools.product((0, 1), repeat=len(extent)):
-        idx = _flat_index([(lo + bit).astype(np.int64) for lo, bit in zip(lows, corner)], extent)
+        idx = _flat_index([(lo + bit).astype(np.int64) for lo, bit in zip(lows, corner)],
+                          extent, first)
         weight = reduce(mul, (k[bit] for k, bit in zip(kernels, corner)))
         sampled.append(x.take_rows(idx, oob_zero=True) * weight.reshape(*idx.shape, 1))
     return reduce(add, sampled)
 
 
-def deformable_conv(x, params: ConvParams, extent=None):
-    """Deformable convolution; x is (n, c_in), laid out as in regular_conv."""
-    extent = check_layout(x, params, extent, deformable=True)
+def deformable_conv(x, params: ConvParams, extent=None, *, batch=1):
+    """Deformable convolution; x is (batch * n, c_in), laid out as in
+    regular_conv."""
+    extent = check_layout(x, params, extent, deformable=True, batch=batch)
     ndim = len(extent)
-    n, k = x.shape[0], len(params.points)
+    rows, k = x.shape[0], len(params.points)
     # column ndim * m + axis displaces point m along that axis
     disp = (x @ params.offset_w).reshape(-1)
-    column = (np.arange(n)[:, None] * k + np.arange(k)) * ndim
+    column = (np.arange(rows)[:, None] * k + np.arange(k)) * ndim
     positions = [disp.take_rows(column + axis) + Tensor(cells)
-                 for axis, cells in enumerate(_displaced(extent, params.points))]
-    return _aggregate(_interpolate(x, positions, extent), params)
+                 for axis, cells in enumerate(_displaced(extent, params.points, batch))]
+    return _aggregate(_interpolate(x, positions, extent, _first_rows(extent, batch)), params)
 
 
 # Layout-named aliases: the layout itself comes from ``extent``.

@@ -82,20 +82,21 @@ def dynamic_kernel(h, params: DynamicConvParams):
     return logits.reshape(n, params.n_groups, n_pts).softmax(axis=-1)
 
 
-def dynamic_conv(x, params: DynamicConvParams, extent=None, *, renormalize=False):
-    """Full dynamic convolution; x is (n, c_in), a sequence when
-    ``extent`` is None, else a row-major grid with an n_k x n_k window."""
-    extent = check_layout(x, params, extent)
-    n, c = x.shape
+def dynamic_conv(x, params: DynamicConvParams, extent=None, *, batch=1, renormalize=False):
+    """Full dynamic convolution; x is (batch * n, c_in), ``batch`` samples
+    stacked along the rows, each a sequence when ``extent`` is None, else
+    a row-major grid with an n_k x n_k window."""
+    extent = check_layout(x, params, extent, batch=batch)
+    rows, c = x.shape
     h = glu(x, params)
     n_pts = len(params.points)
     # coefficient (i, j, ch) is kernel[i, group of ch, j]: the per-group
     # duplication happens inside the gather
     group = np.arange(c) // (c // params.n_groups)
-    rows = ((np.arange(n)[:, None, None] * params.n_groups + group) * n_pts
-            + np.arange(n_pts)[:, None])
-    coeffs = dynamic_kernel(h, params).reshape(-1).take_rows(rows)
-    table = neighbor_table(extent, params.points)
+    coeff_rows = ((np.arange(rows)[:, None, None] * params.n_groups + group) * n_pts
+                  + np.arange(n_pts)[:, None])
+    coeffs = dynamic_kernel(h, params).reshape(-1).take_rows(coeff_rows)
+    table = neighbor_table(extent, params.points, batch)
     if renormalize:
         inside = Tensor((table >= 0).astype(np.float64)[:, :, None])
         coeffs = coeffs * (coeffs * inside).sum(axis=1, keepdims=True).reciprocal()

@@ -113,6 +113,10 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ContractViolation(f"a run config is a JSON object, got {d!r}")
+        if "task" not in d:
+            raise ContractViolation("a run config needs a task")
         unknown = set(d) - {f for f in cls.__dataclass_fields__}
         if unknown:
             raise ContractViolation(f"unknown config fields {sorted(unknown)}")

@@ -67,12 +67,24 @@ def cross_entropy(logits, labels):
     return -(picked.mean())
 
 
+def _labels(samples):
+    """The label rows of samples stacked along the rows, one array."""
+    return np.concatenate([np.atleast_1d(s["label"]) for s in samples])
+
+
+def _stacked(samples, key):
+    """One tensor of the samples' ``key`` arrays stacked along the rows."""
+    return Tensor(np.concatenate([s[key] for s in samples]))
+
+
 class _Model:
     """Scaffold of the model families: classifier head, loss, prediction,
-    accuracy and parameter list. A family defines ``logits`` and, if it
+    accuracy and parameter list. A family defines ``batch_logits``, one
+    forward of a list of samples stacked along the rows, and, if it
     attends, ``_offsets``; its ``__init__`` lists the trainable tensors
     in ``self.parts``, in a fixed order, since gradient clipping sums
-    squared norms in parameter order."""
+    squared norms in parameter order. The per-sample methods are the
+    batch of one."""
 
     def __init__(self, task, seed):
         c = task.channels
@@ -84,8 +96,17 @@ class _Model:
     def _classify(self, h):
         return h @ self.head_w + self.head_b
 
+    def logits(self, sample):
+        return self.batch_logits([sample])
+
     def loss(self, sample):
-        return cross_entropy(self.logits(sample), sample["label"])
+        return self.batch_loss([sample])
+
+    def batch_loss(self, samples):
+        """Mean cross-entropy over every label row of the samples; every
+        sample of a task has as many rows, so this is the mean of the
+        per-sample losses."""
+        return cross_entropy(self.batch_logits(samples), _labels(samples))
 
     def predict(self, sample):
         """The argmax class: an int for a one-label sample, else an array
@@ -96,9 +117,13 @@ class _Model:
         return int(np.argmax(logits))
 
     def accuracy(self, sample):
-        hits = self.predict(sample) == sample["label"]
-        # runs once per eval sample: float() of one bool, not the much dearer np.mean
-        return float(hits.mean()) if isinstance(hits, np.ndarray) else float(hits)
+        return float(self.batch_accuracy([sample])[0])
+
+    def batch_accuracy(self, samples):
+        """Per sample, the share of its label rows predicted right, from
+        one forward of the whole list."""
+        hits = np.argmax(self.batch_logits(samples).data, axis=-1) == _labels(samples)
+        return hits.reshape(len(samples), -1).mean(axis=1)
 
     def parameters(self):
         return list(self.parts)
@@ -127,12 +152,12 @@ class _Model:
         self.dyn_scale = zeros((), requires_grad=True)
         return self.dyn.parameters() + [self.dyn_scale]
 
-    def _apply_core(self, h):
+    def _apply_core(self, h, batch):
         if self.core == "attention":
             return attention_forward(h, h, self.attn, self.config,
                                      offsets=self.offsets, mask=self.mask,
-                                     residual=True)
-        return h + dynamic_conv(h, self.dyn, self.extent) * self.dyn_scale
+                                     residual=True, batch=batch)
+        return h + dynamic_conv(h, self.dyn, self.extent, batch=batch) * self.dyn_scale
 
     def _deform_unit(self, deformable):
         """Set up a zero-gated deformable residual on the input sequence,
@@ -146,10 +171,10 @@ class _Model:
         self.deform_scale = zeros((), requires_grad=True)
         return self.deform.parameters() + [self.deform_scale]
 
-    def _deformed(self, x):
+    def _deformed(self, x, batch):
         if self.deform is None:
             return x
-        return x + deformable_conv(x, self.deform) * self.deform_scale
+        return x + deformable_conv(x, self.deform, batch=batch) * self.deform_scale
 
 
 class RetrievalModel(_Model):
@@ -163,10 +188,12 @@ class RetrievalModel(_Model):
     def _offsets(self):
         return offset_map_1d(1, self.task.extent, enc_dim=self.task.channels)
 
-    def logits(self, sample):
-        x = self._deformed(Tensor(sample["inputs"]))
-        y = attention_forward(Tensor(sample["query"]), x, self.attn, self.config,
-                              offsets=self.offsets, mask=self.mask, mode="cross")
+    def batch_logits(self, samples):
+        batch = len(samples)
+        x = self._deformed(_stacked(samples, "inputs"), batch)
+        y = attention_forward(_stacked(samples, "query"), x, self.attn, self.config,
+                              offsets=self.offsets, mask=self.mask, mode="cross",
+                              batch=batch)
         return self._classify(y)
 
 
@@ -186,10 +213,13 @@ class GridClassifier(_Model):
     def _offsets(self):
         return offset_map_2d(*self.extent, enc_dim=self.task.channels)
 
-    def logits(self, sample):
+    def batch_logits(self, samples):
+        batch = len(samples)
         conv = regular_conv if self.backbone.offset_w is None else deformable_conv
-        h = self._apply_core(conv(Tensor(sample["inputs"]), self.backbone, self.extent))
-        pooled = h.sum(axis=0, keepdims=True) / float(h.shape[0])
+        x = _stacked(samples, "inputs")
+        h = self._apply_core(conv(x, self.backbone, self.extent, batch=batch), batch)
+        n = h.shape[0] // batch
+        pooled = h.reshape(batch, n, h.shape[1]).sum(axis=1) / float(n)
         return self._classify(pooled)
 
 
@@ -206,9 +236,10 @@ class DenoiseModel(_Model):
     def _offsets(self):
         return offset_map_1d(*self.extent, *self.extent, enc_dim=self.task.channels)
 
-    def logits(self, sample):
-        x = self._deformed(Tensor(sample["inputs"]))
-        return self._classify(self._apply_core(x))
+    def batch_logits(self, samples):
+        batch = len(samples)
+        x = self._deformed(_stacked(samples, "inputs"), batch)
+        return self._classify(self._apply_core(x, batch))
 
 
 def count_forward(model, sample):

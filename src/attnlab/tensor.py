@@ -3,6 +3,7 @@
 Everything is float64 and row-major. Each operation returns a fresh
 tensor and records a backward closure, so the tape is rebuilt on every
 forward pass; ``backward`` walks it once in reverse topological order.
+Inside a ``no_grad()`` block nothing is recorded.
 
 Multiply-accumulate counting: while a ``counting()`` context is active,
 every forward operation reports its scalar multiplies as MACs (additions
@@ -55,6 +56,20 @@ def _emit(macs=0, exps=0, divs=0):
         c.divs += divs
 
 
+# one entry per open no_grad() block; while any is open no op is recorded
+_paused: list[bool] = []
+
+
+@contextmanager
+def no_grad():
+    """Run forward ops inside the block without recording the tape."""
+    _paused.append(True)
+    try:
+        yield
+    finally:
+        _paused.pop()
+
+
 def _unbroadcast(grad, shape):
     """Reduce a broadcast gradient back to the operand's shape."""
     extra = grad.ndim - len(shape)
@@ -93,6 +108,8 @@ class Tensor:
     @staticmethod
     def _from_op(data, parents, backward):
         out = Tensor(data)
+        if _paused:
+            return out
         tracked = tuple(p for p in parents if p.requires_grad or p._parents)
         if tracked:
             out._parents = tracked
@@ -169,19 +186,24 @@ class Tensor:
         return Tensor._from_op(data, (self,), backward)
 
     def __matmul__(self, other):
+        """Matrix product over the last two axes; leading axes broadcast
+        as in ``np.matmul``. Charged ``out.size * k`` MACs."""
         other = _as_tensor(other)
-        if self.ndim != 2 or other.ndim != 2:
-            raise ShapeMismatch(f"matmul needs 2-d operands, got {self.shape} @ {other.shape}")
-        if self.shape[1] != other.shape[0]:
+        if self.ndim < 2 or other.ndim < 2:
+            raise ShapeMismatch(f"matmul needs operands of 2 or more dims, got "
+                                f"{self.shape} @ {other.shape}")
+        if self.shape[-1] != other.shape[-2]:
             raise ShapeMismatch(f"matmul inner dims differ: {self.shape} @ {other.shape}")
-        m, k = self.shape
-        n = other.shape[1]
-        _emit(macs=m * k * n)
-        data = self.data @ other.data
+        try:
+            data = self.data @ other.data
+        except ValueError as exc:
+            raise ShapeMismatch(f"matmul leading dims do not broadcast: "
+                                f"{self.shape} @ {other.shape}") from exc
+        _emit(macs=data.size * self.shape[-1])
 
         def backward(g):
-            self._accum(g @ other.data.T)
-            other._accum(self.data.T @ g)
+            self._accum(_unbroadcast(g @ np.swapaxes(other.data, -1, -2), self.shape))
+            other._accum(_unbroadcast(np.swapaxes(self.data, -1, -2) @ g, other.shape))
 
         return Tensor._from_op(data, (self, other), backward)
 
@@ -189,13 +211,14 @@ class Tensor:
 
     @property
     def T(self):
-        if self.ndim != 2:
-            raise ShapeMismatch(f"transpose expects a matrix, got shape {self.shape}")
+        """The last two axes swapped: the transpose of each matrix."""
+        if self.ndim < 2:
+            raise ShapeMismatch(f"transpose expects 2 or more dims, got shape {self.shape}")
 
         def backward(g):
-            self._accum(g.T)
+            self._accum(np.swapaxes(g, -1, -2))
 
-        return Tensor._from_op(self.data.T.copy(), (self,), backward)
+        return Tensor._from_op(np.swapaxes(self.data, -1, -2).copy(), (self,), backward)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], tuple):
@@ -291,13 +314,14 @@ class Tensor:
             m = mask.data if isinstance(mask, Tensor) else np.asarray(mask)
             m = np.broadcast_to(m.astype(bool), x.shape)
             x = np.where(m, x, -np.inf)
-        valid = ~np.isneginf(x)
-        if not valid.any(axis=axis).all():
+        top = x.max(axis=axis, keepdims=True)
+        # a slice has a valid entry exactly when its max is not -inf
+        if np.isneginf(top).any():
             raise DegenerateRegion("softmax slice is fully masked")
-        shifted = x - x.max(axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        total = e.sum(axis=axis, keepdims=True)
-        data = e / total
+        # x - top is a fresh array, so exp and the division run in place
+        data = x - top
+        np.exp(data, out=data)
+        data /= data.sum(axis=axis, keepdims=True)
         _emit(exps=data.size, divs=data.size)
 
         def backward(g):
@@ -381,8 +405,8 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-        # intermediate grads are per-tape scratch; keep only leaf grads
-        for node in order:
+            # every consumer of a node runs before it, so an intermediate
+            # grad is complete here and needed no longer; keep leaf grads
             if node._parents:
                 node.grad = None
 
@@ -392,44 +416,55 @@ GATHER_DOT_ROWS = 32
 
 
 def gather_dot(a, table, index):
-    """``e[q, k] = a[q] . table[index[q, k]]`` as one tape op.
+    """``e[..., q, k] = a[..., q] . table[index[q, k]]`` as one tape op.
 
-    ``a`` is (n_q, d), or one (1, d) row shared by every query; ``table``
-    is (n_offsets, d) and ``index`` an (n_q, n_k) array of table rows.
-    The forward gathers table rows for GATHER_DOT_ROWS queries at a time
-    and reduces each block with a batched matmul, so it is charged
-    ``n_q * n_k * d`` MACs, one per pair and channel, and keeps no
-    (n_q, n_k, d) array. The backward sums the output gradient per
+    ``a`` is (..., n_q, d), or (..., 1, d) with one row shared by every
+    query; leading axes are a batch that shares ``table`` and ``index``.
+    ``table`` is (n_offsets, d) and ``index`` an (n_q, n_k) array of
+    table rows. The forward gathers table rows for GATHER_DOT_ROWS
+    queries at a time, once for the whole batch, and reduces each block
+    with a batched matmul, so it is charged ``n_q * n_k * d`` MACs per
+    batch entry, one per pair and channel, and keeps no (n_q, n_k, d)
+    array. The backward sums each batch entry's output gradient per
     (row of ``a``, offset) into S with one bincount, then finishes with
-    ``S @ table`` and ``S.T @ a``.
+    ``S @ table`` and ``S.T @ a``; S stays (rows, n_offsets).
     """
     idx = np.asarray(index, dtype=np.int64)
     if idx.ndim != 2:
         raise ContractViolation(f"gather_dot needs an (n_q, n_k) index, got shape {idx.shape}")
     n_q, n_k = idx.shape
-    if a.ndim != 2 or table.ndim != 2 or a.shape[1] != table.shape[1]:
-        raise ShapeMismatch(f"gather_dot needs (n, d) operands, got {a.shape} and {table.shape}")
-    rows = a.shape[0]
+    if a.ndim < 2 or table.ndim != 2 or a.shape[-1] != table.shape[1]:
+        raise ShapeMismatch(f"gather_dot needs (..., n, d) and (n_offsets, d) operands, "
+                            f"got {a.shape} and {table.shape}")
+    rows = a.shape[-2]
     if rows not in (1, n_q):
         raise ShapeMismatch(f"gather_dot: {rows} rows of a for {n_q} queries")
     n_off, d = table.shape
     if idx.size and (idx.min() < 0 or idx.max() >= n_off):
         raise ContractViolation(f"index out of range for {n_off} rows")
-    _emit(macs=n_q * n_k * d)
-    data = np.empty((n_q, n_k))
-    column = a.data[:, :, None]
+    lead = a.shape[:-2]
+    data = np.empty(lead + (n_q, n_k))
+    _emit(macs=data.size * d)
+    column = a.data[..., None]
     for lo in range(0, n_q, GATHER_DOT_ROWS):
         hi = lo + GATHER_DOT_ROWS
         # np.take gathers rows about twice as fast as fancy indexing
         block = np.take(table.data, idx[lo:hi], axis=0)
-        np.matmul(block, column if rows == 1 else column[lo:hi], out=data[lo:hi, :, None])
+        np.matmul(block, column if rows == 1 else column[..., lo:hi, :, :],
+                  out=data[..., lo:hi, :, None])
 
     def backward(g):
-        scatter = idx if rows == 1 else idx + np.arange(n_q)[:, None] * n_off
-        s = np.bincount(scatter.ravel(), weights=g.ravel(),
-                        minlength=rows * n_off).reshape(rows, n_off)
-        a._accum(s @ table.data)
-        table._accum(s.T @ a.data)
+        scatter = (idx if rows == 1 else idx + np.arange(n_q)[:, None] * n_off).ravel()
+        a2 = a.data.reshape(-1, rows, d)
+        g2 = g.reshape(-1, n_q * n_k)
+        ga = np.empty(a2.shape)
+        gt = np.zeros(table.shape)
+        for b in range(a2.shape[0]):
+            s = np.bincount(scatter, weights=g2[b], minlength=rows * n_off).reshape(rows, n_off)
+            ga[b] = s @ table.data
+            gt += s.T @ a2[b]
+        a._accum(ga.reshape(a.shape))
+        table._accum(gt)
 
     return Tensor._from_op(data, (a, table), backward)
 

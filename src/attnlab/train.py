@@ -5,6 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericFault
+from .tensor import no_grad
+
+# rows an eval forward stacks at most; at 24x24 that is one sample per
+# forward, since stacked (576, 576) energy grids ran slower than one
+EVAL_ROWS = 512
 
 
 class Momentum:
@@ -51,17 +56,16 @@ def clip_gradients(params, max_norm):
 
 def train_model(model, task, steps, batch_size=16, lr=0.1, momentum=0.9,
                 clip=None):
-    """Run the loop; raises NumericFault if the loss stops being finite."""
+    """Run the loop, one forward and one backward of the whole batch per
+    step; returns the final loss and raises NumericFault if the loss stops
+    being finite."""
     params = model.parameters()
     opt = Momentum(params, lr=lr, momentum=momentum)
     last = None
     for step in range(steps):
         batch = task.train_batch(step, batch_size)
         opt.zero_grad()
-        loss = model.loss(batch[0])
-        for sample in batch[1:]:
-            loss = loss + model.loss(sample)
-        loss = loss / float(len(batch))
+        loss = model.batch_loss(batch)
         if not np.isfinite(loss.data):
             raise NumericFault(f"loss became non-finite at step {step}")
         loss.backward()
@@ -73,6 +77,11 @@ def train_model(model, task, steps, batch_size=16, lr=0.1, momentum=0.9,
 
 
 def evaluate(model, task):
-    """Mean per-sample accuracy over the held-out set."""
-    scores = [model.accuracy(s) for s in task.eval_set()]
-    return float(np.mean(scores))
+    """Mean per-sample accuracy over the held-out set, forwarded without a
+    tape in chunks of at most EVAL_ROWS input rows (at least one sample)."""
+    samples = task.eval_set()
+    chunk = max(1, EVAL_ROWS // samples[0]["inputs"].shape[0])
+    with no_grad():
+        scores = [model.batch_accuracy(samples[i:i + chunk])
+                  for i in range(0, len(samples), chunk)]
+    return float(np.mean(np.concatenate(scores)))

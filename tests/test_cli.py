@@ -87,3 +87,20 @@ def test_grid_with_an_empty_config_list_exits_2(tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert "no run configs" in captured.err
+
+
+@pytest.mark.parametrize("text,message", [
+    (json.dumps([{"task": "permuted-copy", "steps": 0},
+                 {"task": "windowed-denoise", "steps": 0}]), "more than one task"),
+    (json.dumps({"task": "permuted-copy", "stepz": 0}), "stepz"),
+    ("7", "run config"),
+    ('{"task": "permuted-copy",', "Expecting"),
+])
+def test_grid_with_a_bad_config_file_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    code = main(["grid", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from attnlab.attention import offset_map_2d
@@ -16,6 +16,7 @@ from attnlab.tensor import (
     counting,
     finite_diff_check,
     gather_dot,
+    no_grad,
 )
 
 
@@ -457,3 +458,159 @@ def test_first_gradient_is_stored_as_a_private_copy():
     np.testing.assert_array_equal(c.grad, 2.0 * np.arange(6.0) + 1.0)
     np.testing.assert_array_equal(d.grad, np.ones((3, 2)))
     assert not np.shares_memory(c.grad, d.grad)
+
+
+# -- batched matmul -------------------------------------------------------------------
+
+
+@st.composite
+def matmul_cases(draw):
+    """(..., m, k) @ (..., k, n) with leading dims that broadcast: each
+    side drops or squeezes some of a common batch shape."""
+    batch = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    m, k, n = (draw(st.integers(1, 4)) for _ in range(3))
+
+    def lead():
+        kept = batch[draw(st.integers(0, len(batch))):]
+        return tuple(d if draw(st.booleans()) else 1 for d in kept)
+
+    seed = draw(st.integers(0, 2**16))
+    return lead() + (m, k), lead() + (k, n), Rng(seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matmul_cases())
+def test_batched_matmul_matches_numpy_and_is_charged_per_output_entry(case):
+    a_shape, b_shape, rng = case
+    a = rng.uniform(-2, 2, a_shape)
+    b = rng.uniform(-2, 2, b_shape)
+    with counting() as c:
+        out = Tensor(a) @ Tensor(b)
+    want = np.matmul(a, b)
+    assert out.shape == want.shape
+    np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+    assert (c.macs, c.exps, c.divs) == (want.size * a_shape[-1], 0, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(matmul_cases())
+def test_batched_matmul_gradients_pass_finite_difference(case):
+    a_shape, b_shape, rng = case
+    a = Tensor(rng.uniform(0.5, 1.5, a_shape), requires_grad=True)
+    b = Tensor(rng.uniform(0.5, 1.5, b_shape), requires_grad=True)
+    probe = Tensor(rng.uniform(0.5, 1.5, np.matmul(a.data, b.data).shape))
+    assert finite_diff_check(lambda: (a @ b.T.T) * probe, [a, b]) <= 1e-6
+
+
+def test_batched_matmul_rejects_leading_dims_that_do_not_broadcast():
+    with pytest.raises(ShapeMismatch):
+        Tensor(np.ones((2, 3, 4))) @ Tensor(np.ones((3, 4, 5)))
+    with pytest.raises(ShapeMismatch):
+        Tensor(np.ones((2, 3, 4))) @ Tensor(np.ones((2, 3, 5)))
+    with pytest.raises(ShapeMismatch):
+        Tensor(np.ones(3)).T
+
+
+# -- gather_dot over a batch ------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(gather_dot_cases(max_q=GATHER_DOT_ROWS + 5), st.integers(1, 3))
+def test_gather_dot_over_a_batch_equals_per_sample_calls(case, batch):
+    (n_q, n_k, n_offsets, d), shared, index, rng = case
+    a = Tensor(rng.uniform(-2, 2, (batch, 1 if shared else n_q, d)), requires_grad=True)
+    table = Tensor(rng.uniform(-2, 2, (n_offsets, d)), requires_grad=True)
+    probe = rng.uniform(-1, 1, (batch, n_q, n_k))
+    with counting() as c:
+        out = gather_dot(a, table, index)
+    assert c.macs == batch * n_q * n_k * d
+    (out * Tensor(probe)).sum().backward()
+
+    want_ga = np.zeros(a.shape)
+    want_gt = np.zeros(table.shape)
+    for b in range(batch):
+        ab = Tensor(a.data[b], requires_grad=True)
+        tb = Tensor(table.data, requires_grad=True)
+        one = gather_dot(ab, tb, index)
+        np.testing.assert_array_equal(out.data[b], one.data)
+        (one * Tensor(probe[b])).sum().backward()
+        want_ga[b] = ab.grad
+        want_gt += tb.grad
+    np.testing.assert_allclose(a.grad, want_ga, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(table.grad, want_gt, rtol=0, atol=1e-12)
+
+
+# -- softmax over a batch -------------------------------------------------------------------
+
+
+@st.composite
+def masked_batches(draw):
+    """A (batch, rows, cols) input and a (rows, cols) mask that leaves
+    every row at least one valid entry."""
+    batch, rows, cols = (draw(st.integers(1, 4)) for _ in range(3))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=rows * cols,
+                                  max_size=rows * cols))).reshape(rows, cols)
+    mask[np.arange(rows), draw(st.integers(0, cols - 1))] = True
+    seed = draw(st.integers(0, 2**16))
+    return (batch, rows, cols), mask, Rng(seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(masked_batches())
+def test_masked_softmax_over_a_batch(case):
+    shape, mask, rng = case
+    x = Tensor(rng.uniform(-2, 2, shape), requires_grad=True)
+    out = x.softmax(axis=-1, mask=mask)
+    assert (out.data[:, ~mask] == 0.0).all()
+    np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
+    probe = rng.uniform(0.5, 1.5, shape)
+    # the gradient s * (p - <s, p>) is exactly zero on masked entries and
+    # rows with one valid entry; central differences lose their relative
+    # accuracy near zero, so skip draws with a near-zero gradient elsewhere
+    grad = out.data * (probe - (out.data * probe).sum(axis=-1, keepdims=True))
+    several = np.broadcast_to(mask & (mask.sum(axis=-1, keepdims=True) > 1), shape)
+    assume((np.abs(grad[several]) > 1e-3).all())
+    assert finite_diff_check(lambda: x.softmax(axis=-1, mask=mask) * Tensor(probe), [x]) <= 1e-6
+
+
+# -- no_grad and backward memory -------------------------------------------------------
+
+
+def test_no_grad_records_nothing_and_nests():
+    w = Tensor(np.ones((2, 2)), requires_grad=True)
+    with no_grad():
+        with no_grad():
+            inner = w @ w
+        outer = (w * 2.0).sum()
+    after = (w * 2.0).sum()
+    for t in (inner, outer):
+        assert t._parents == () and t._backward is None
+    outer.backward()
+    assert w.grad is None
+    after.backward()
+    np.testing.assert_array_equal(w.grad, np.full((2, 2), 2.0))
+
+
+def test_no_grad_restores_recording_after_an_exception():
+    w = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(ShapeMismatch):
+        with no_grad():
+            w @ w
+    assert (w * 1.0)._parents == (w,)
+
+
+def test_backward_frees_each_intermediate_gradient_once_used():
+    x = Tensor(np.ones(1 << 17), requires_grad=True)  # 1 MiB of float64
+    y = x
+    for _ in range(40):
+        y = y * 1.0
+    loss = y.sum()
+    tracemalloc.start()
+    try:
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(x.grad, np.ones(1 << 17))
+    # the gradients of the whole chain held at once would be 40 MiB
+    assert peak < 6 * x.data.nbytes
