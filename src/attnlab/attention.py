@@ -18,7 +18,7 @@ query-key pair through the fused ``gather_dot`` op.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from operator import add
 
@@ -166,61 +166,66 @@ def causal_mask(offsets: OffsetMap):
     return offsets.delta <= 0
 
 
-# -- standalone energy terms (each embeds its own inputs) ---------------------
+# -- the energy stage ----------------------------------------------------------
+
+
+def _head_energies(z, x, params, m, gates, offsets=None, batch=1):
+    """Head m's active energy terms in term order, each in its own shape:
+    query_key and query_pos (batch, n_q, n_k), key_only one (batch, 1, n_k)
+    row per sample and pos_only one (n_q, n_k) grid for the whole batch.
+    """
+    g_qk, g_qp, g_ko, g_po = gates
+    d = params.head_dim
+    if g_qk or g_qp:
+        qe = (z @ params.query_embed[m].T).reshape(batch, -1, d)
+    if g_qk or g_ko:
+        ke = x @ params.key_embed_[m].T
+    if g_qp or g_po:
+        tbl = Tensor(offsets.table) @ params.pos_embed[m].T
+    terms = []
+    if g_qk:
+        terms.append(qe @ ke.reshape(batch, -1, d).T)
+    if g_qp:
+        terms.append(gather_dot(qe, tbl, offsets.index))
+    if g_ko:
+        terms.append((ke @ params.content_bias[m]).reshape(batch, 1, -1))
+    if g_po:
+        terms.append(gather_dot(params.position_bias[m].reshape(1, d), tbl, offsets.index))
+    return terms
+
+
+def _one_term(term, params, z=None, x=None, offsets=None):
+    """One term alone, per head, as (n_q, n_k) or key_only's (1, n_k)."""
+    gates = tuple(i == term for i in range(4))
+    heads = (_head_energies(z, x, params, m, gates, offsets)[0] for m in range(params.heads))
+    return [e.reshape(e.shape[-2:]) for e in heads]
 
 
 def query_key_energy(z, x, params):
     """Content match: projected query dotted with projected key."""
-    out = []
-    for m in range(params.heads):
-        qe = z @ params.query_embed[m].T
-        ke = x @ params.key_embed_[m].T
-        out.append(qe @ ke.T)
-    return out
+    return _one_term(0, params, z=z, x=x)
 
 
 def query_pos_energy(z, offsets, params):
     """Projected query content dotted with the pair's offset embedding."""
-    out = []
-    for m in range(params.heads):
-        qe = z @ params.query_embed[m].T
-        tbl = Tensor(offsets.table) @ params.pos_embed[m].T
-        out.append(gather_dot(qe, tbl, offsets.index))
-    return out
+    return _one_term(1, params, z=z, offsets=offsets)
 
 
 def key_only_energy(x, params):
     """Key saliency, one value per key, identical for every query."""
-    out = []
-    for m in range(params.heads):
-        ke = x @ params.key_embed_[m].T
-        out.append((ke @ params.content_bias[m]).reshape(1, x.shape[0]))
-    return out
+    return _one_term(2, params, x=x)
 
 
 def pos_only_energy(offsets, params):
-    """Pure positional bias materialized per query-key pair.
-
-    The value depends only on the pair's relative offset, but the layer
-    charges it per pair (a traversal of the full pair grid), matching
-    how the cost model accounts for this term. ``pos_only_profile``
-    gives the cheap per-offset view of the same numbers.
-    """
-    out = []
-    for m in range(params.heads):
-        tbl = Tensor(offsets.table) @ params.pos_embed[m].T
-        v = params.position_bias[m].reshape(1, params.head_dim)
-        out.append(gather_dot(v, tbl, offsets.index))
-    return out
+    """Pure positional bias, materialized and charged per query-key pair as
+    the cost model counts it; ``pos_only_profile`` gives it per offset."""
+    return _one_term(3, params, offsets=offsets)
 
 
 def pos_only_profile(offsets, params):
     """Positional bias per table offset: list of (n_offsets,) tensors."""
-    out = []
-    for m in range(params.heads):
-        tbl = Tensor(offsets.table) @ params.pos_embed[m].T
-        out.append((tbl @ params.position_bias[m]).reshape(offsets.n_offsets))
-    return out
+    each_row = replace(offsets, index=np.arange(offsets.n_offsets)[None, :])
+    return [e.reshape(offsets.n_offsets) for e in pos_only_energy(each_row, params)]
 
 
 # -- the layer ----------------------------------------------------------------
@@ -237,9 +242,8 @@ def attention_weights(z, x, params, config, offsets=None, mask=None, *, batch=1)
     """Per-head attention weight matrices, shape (batch * n_q, n_k) each.
 
     ``z`` and ``x`` stack ``batch`` samples along their rows; the rows of
-    each sample attend only to the keys of the same sample. Shared
-    projections are computed once: the query projection feeds both
-    query-driven terms and the key projection both key-driven terms.
+    each sample attend only to the keys of the same sample. Each head's
+    energy is the sum of its active terms from ``_head_energies``.
     Positional terms need ``offsets``.
     """
     g_qk, g_qp, g_ko, g_po = config.gates
@@ -249,27 +253,13 @@ def attention_weights(z, x, params, config, offsets=None, mask=None, *, batch=1)
         raise ContractViolation("positional terms need an OffsetMap")
     n_q = _rows_per_sample(z, batch, "z")
     n_k = _rows_per_sample(x, batch, "x")
-    d = params.head_dim
+    # key_only and pos_only, alone or with each other only, lack an axis
+    # of (batch, n_q, n_k); the zero grid gives the sum that shape
+    full = g_qk or g_qp or (g_ko and g_po)
     weights = []
     for m in range(params.heads):
-        qe = (z @ params.query_embed[m].T).reshape(batch, n_q, d) if (g_qk or g_qp) else None
-        ke = x @ params.key_embed_[m].T if (g_qk or g_ko) else None
-        if g_qp or g_po:
-            tbl = Tensor(offsets.table) @ params.pos_embed[m].T
-        # key_only is one (batch, 1, n_k) row per sample and pos_only one
-        # (n_q, n_k) grid for the whole batch: alone or with each other
-        # only, the zero grid gives the sum its (batch, n_q, n_k) shape
-        full = g_qk or g_qp or (g_ko and g_po)
         terms = [] if full else [Tensor(np.zeros((batch, n_q, n_k)))]
-        if g_qk:
-            terms.append(qe @ ke.reshape(batch, n_k, d).T)
-        if g_qp:
-            terms.append(gather_dot(qe, tbl, offsets.index))
-        if g_ko:
-            terms.append((ke @ params.content_bias[m]).reshape(batch, 1, n_k))
-        if g_po:
-            v = params.position_bias[m].reshape(1, d)
-            terms.append(gather_dot(v, tbl, offsets.index))
+        terms += _head_energies(z, x, params, m, config.gates, offsets, batch)
         energy = reduce(add, terms).softmax(axis=-1, mask=mask)
         weights.append(energy.reshape(batch * n_q, n_k))
     return weights

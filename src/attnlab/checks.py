@@ -114,6 +114,14 @@ def check_count_exactness():
         want = count_attention(config.gates, n, n, c, m)
         assert (got.macs, got.exps, got.divs) == want, beta
 
+    # cross shape: one query over n keys, default offset-table size
+    query = Tensor(rng.normal((1, c)))
+    config = AttentionConfig.from_beta("0101", heads=2)
+    with counting() as got:
+        attention_forward(query, x, params, config, offsets=offset_map_1d(1, n, enc_dim=c),
+                          mode="cross")
+    assert (got.macs, got.exps, got.divs) == count_attention(config.gates, 1, n, c, m)
+
     def_ = ConvParams(c, c, kernel=3, ndim=2, rng=rng.child(1), deformable=True)
     grid = Tensor(rng.normal((12, c)))
     with counting() as got:

@@ -40,42 +40,34 @@ MECHANISM_FLAGS = {
 }
 
 
-def _default_geometry(n_s, c, enc_dim, n_offsets):
-    if enc_dim is None:
-        enc_dim = c
-    if n_offsets is None:
-        n_offsets = 2 * n_s - 1  # 1-d self-attention
-    return enc_dim, n_offsets
-
-
-def count_term_parts(term, n_s, c, m, enc_dim=None, n_offsets=None):
-    """Cost breakdown of one standalone energy term at n_q = n_k = n_s.
+def _energy_parts(gates, n_q, n_k, c, m, enc_dim=None, n_offsets=None):
+    """Energy-stage MACs of the active terms, each shared projection once.
 
     "embed" covers the content/offset projections, "pairwise" the work
     proportional to the query-key pair count, "probe" the per-key dot
     with a learned vector. Head count m cancels in every product
-    (m * head_dim = c) but is kept for signature symmetry.
+    (m * head_dim = c). The offset table defaults to the n_q + n_k - 1
+    rows of ``offset_map_1d(n_q, n_k)``.
     """
-    if term not in TERMS:
-        raise ContractViolation(f"unknown term {term!r}")
     if c % m != 0:
         raise ContractViolation(f"heads ({m}) must divide channels ({c})")
-    enc_dim, n_offsets = _default_geometry(n_s, c, enc_dim, n_offsets)
-    embed = pairwise = probe = 0
-    if term == "query_key":
-        embed = 2 * n_s * c * c
-        pairwise = n_s * n_s * c
-    elif term == "query_pos":
-        embed = n_s * c * c + n_offsets * enc_dim * c
-        pairwise = n_s * n_s * c
-    elif term == "key_only":
-        embed = n_s * c * c
-        probe = n_s * c
-    else:  # pos_only
-        embed = n_offsets * enc_dim * c
-        pairwise = n_s * n_s * c
+    enc_dim = c if enc_dim is None else enc_dim
+    n_offsets = n_q + n_k - 1 if n_offsets is None else n_offsets
+    g_qk, g_qp, g_ko, g_po = gates
+    embed = ((g_qk or g_qp) * n_q * c * c + (g_qk or g_ko) * n_k * c * c
+             + (g_qp or g_po) * n_offsets * enc_dim * c)
+    pairwise = sum((g_qk, g_qp, g_po)) * n_q * n_k * c
+    probe = g_ko * n_k * c
     return {"embed": embed, "pairwise": pairwise, "probe": probe,
             "total": embed + pairwise + probe}
+
+
+def count_term_parts(term, n_s, c, m, enc_dim=None, n_offsets=None):
+    """Cost breakdown of one standalone energy term at n_q = n_k = n_s."""
+    if term not in TERMS:
+        raise ContractViolation(f"unknown term {term!r}")
+    gates = tuple(t == term for t in TERMS)
+    return _energy_parts(gates, n_s, n_s, c, m, enc_dim, n_offsets)
 
 
 def count_term(term, n_s, c, m, enc_dim=None, n_offsets=None):
@@ -87,25 +79,7 @@ def count_attention(gates, n_q, n_k, c, m, enc_dim=None, n_offsets=None, residua
 
     Returns (macs, exps, divs); exps/divs come from the softmax alone.
     """
-    if c % m != 0:
-        raise ContractViolation(f"heads ({m}) must divide channels ({c})")
-    enc_dim, n_offsets = _default_geometry(max(n_q, n_k), c, enc_dim, n_offsets)
-    g_qk, g_qp, g_ko, g_po = gates
-    macs = 0
-    if g_qk or g_qp:
-        macs += n_q * c * c
-    if g_qk or g_ko:
-        macs += n_k * c * c
-    if g_qp or g_po:
-        macs += n_offsets * enc_dim * c
-    if g_qk:
-        macs += n_q * n_k * c
-    if g_qp:
-        macs += n_q * n_k * c
-    if g_ko:
-        macs += n_k * c
-    if g_po:
-        macs += n_q * n_k * c
+    macs = _energy_parts(gates, n_q, n_k, c, m, enc_dim, n_offsets)["total"]
     macs += n_k * c * c + n_q * n_k * c + n_q * c * c  # values, mix, output
     if residual:
         macs += n_q * c
@@ -115,9 +89,7 @@ def count_attention(gates, n_q, n_k, c, m, enc_dim=None, n_offsets=None, residua
 
 def count_terms_combined(gates, n_s, c, m, enc_dim=None, n_offsets=None):
     """Energy-stage cost with shared projections (no aggregation)."""
-    macs, _, _ = count_attention(gates, n_s, n_s, c, m, enc_dim, n_offsets)
-    agg = 2 * n_s * c * c + n_s * n_s * c
-    return macs - agg
+    return _energy_parts(gates, n_s, n_s, c, m, enc_dim, n_offsets)["total"]
 
 
 def shared_savings(gates, n_s, c, m, enc_dim=None, n_offsets=None):

@@ -217,11 +217,21 @@ def make_windowed_denoise_task(seed, length=16, vocab=5, channels=16,
     if not (isinstance(flip, numbers.Real) and 0.0 <= flip <= 1.0):
         raise ContractViolation(f"flip must be a probability, got {flip!r}")
     embed = _orthonormal_rows(vocab, channels, Rng(seed).child(9))
-    return ToyTask(
+    task = ToyTask(
         kind="windowed-denoise", vocab=vocab, extent=length, channels=channels,
         seed=seed, eval_size=eval_size, embed=embed,
         flip=flip,
     )
+    # the eval set can hold all vocab ** length sequences only if there are
+    # at most eval_size of them (vocab >= 2 gives at least 2 ** length);
+    # then training would resample forever
+    few = vocab == 1 or length < int(eval_size).bit_length()
+    if few and vocab ** length <= eval_size:
+        if len({s["key"] for s in task.eval_set()}) == vocab ** length:
+            raise ContractViolation(
+                f"windowed-denoise eval_size={eval_size} holds all {vocab ** length} "
+                f"sequences of vocab={vocab}, length={length}; none is left to train on")
+    return task
 
 
 TASK_MAKERS = {

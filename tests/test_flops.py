@@ -289,3 +289,17 @@ def test_emit_table_writes_file(tmp_path):
     text = emit_table([64], 16, 9, 16, 8, out=str(path))
     assert path.read_text(encoding="utf-8") == text
     assert len(table_rows([64], 16, 9, 16, 8)) == 7
+
+
+def test_cross_shape_default_offset_table_matches_forward():
+    # one query over six keys: offset_map_1d(1, 6) has 1 + 6 - 1 rows
+    rng = Rng(11)
+    c, m = 16, 2
+    params = AttentionParams(c, m, enc_dim=c, rng=rng.child(0))
+    z = Tensor(rng.child(1).uniform(-1, 1, (1, c)))
+    x = Tensor(rng.child(2).uniform(-1, 1, (6, c)))
+    config = AttentionConfig.from_beta("0101", heads=m)
+    with counting() as got:
+        attention_forward(z, x, params, config, offset_map_1d(1, 6, enc_dim=c), mode="cross")
+    assert got.macs == 3872
+    assert count_attention((False, True, False, True), 1, 6, c, m)[0] == 3872

@@ -5,6 +5,7 @@ per-family type."""
 import csv
 import io
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -71,6 +72,29 @@ def test_successful_row_has_empty_error():
     rows = list(csv.reader(io.StringIO(emit_results([rec]))))
     assert rows[1][-1] == ""
 
+
+
+@pytest.mark.parametrize("options", [{"vocab": 1}, {"length": 2}])
+def test_denoise_eval_set_holding_every_sequence_is_a_failed_row(options):
+    def hang(signum, frame):
+        raise TimeoutError("train() did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        rec = train(RunConfig(task="windowed-denoise", steps=1, task_options=options))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert rec.failed and rec.error.startswith("ContractViolation")
+    assert "eval_size=200" in rec.error
+
+
+def test_denoise_eval_set_missing_a_sequence_still_trains():
+    # 2 ** 7 = 128 sequences, fewer than the 200 eval draws, but not all drawn
+    task = make_task("windowed-denoise", seed=0, vocab=2, length=7)
+    assert len({s["key"] for s in task.eval_set()}) < 128
+    assert len(task.train_batch(0, 4)) == 4
 
 def test_task_rejects_empty_eval_set():
     with pytest.raises(ContractViolation):

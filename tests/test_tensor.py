@@ -170,6 +170,17 @@ def test_elementwise_grads():
         assert finite_diff_check(f, [w]) <= 1e-5, op
 
 
+
+def test_reciprocal_gradient_and_count():
+    rng = Rng(19)
+    sign = np.where(rng.uniform(0, 1, (3, 4)) < 0.5, -1.0, 1.0)
+    w = Tensor(sign * rng.uniform(0.5, 2.0, (3, 4)), requires_grad=True)
+    probe = Tensor(rng.uniform(0.5, 1.5, (3, 4)))
+    assert finite_diff_check(lambda: (w.reciprocal() * probe).sum(), [w]) <= 1e-6
+    with counting() as got:
+        w.reciprocal()
+    assert (got.macs, got.exps, got.divs) == (0, 0, w.size)
+
 def test_broadcast_add_and_mul_grads():
     rng = Rng(17)
     row = Tensor(rng.uniform(-1, 1, (1, 5)), requires_grad=True)
