@@ -24,8 +24,8 @@ from operator import add
 
 import numpy as np
 
-from .errors import ContractViolation, ShapeMismatch
-from .relpos import DEFAULT_BASE, encode_1d, encode_2d
+from .errors import ContractViolation, ShapeMismatch, positive_int
+from .relpos import DEFAULT_BASE, cells, encode, flat_index
 from .tensor import Rng, Tensor, gather_dot
 
 
@@ -40,8 +40,8 @@ class AttentionConfig:
     def __post_init__(self):
         if len(self.gates) != 4 or not all(isinstance(g, bool) for g in self.gates):
             raise ContractViolation("gates must be four booleans")
-        if self.heads < 1:
-            raise ContractViolation("head count must be positive")
+        if not positive_int(self.heads):
+            raise ContractViolation(f"head count must be a positive int, got {self.heads!r}")
         if not any(self.gates) and not self.allow_uniform:
             raise ContractViolation(
                 "no energy term active; pass allow_uniform=True to run uniform attention"
@@ -73,6 +73,8 @@ class AttentionParams:
     """
 
     def __init__(self, channels, heads, enc_dim, rng: Rng):
+        if not positive_int(heads):
+            raise ContractViolation(f"head count must be a positive int, got {heads!r}")
         if channels % heads != 0:
             raise ShapeMismatch(f"heads ({heads}) must divide channels ({channels})")
         self.channels = channels
@@ -128,35 +130,40 @@ class OffsetMap:
         return self.table.shape[1]
 
 
+def offset_map(q_extent, k_extent, enc_dim, base=DEFAULT_BASE, clip=None):
+    """Offsets k - q from each cell of a row-major query extent to each
+    cell of a key extent of the same rank (an int extent is a sequence).
+    The table encodes every offset in the box the pairs realize, row-major,
+    and ``index`` flattens each pair's offset in that box. ``delta`` is
+    (n_q, n_k) for sequences, else (n_q, n_k, ndim)."""
+    q_extent, k_extent = (tuple(np.atleast_1d(e).tolist()) for e in (q_extent, k_extent))
+    sizes = q_extent + k_extent
+    if not q_extent or len(q_extent) != len(k_extent) or not all(map(positive_int, sizes)):
+        raise ContractViolation(f"extents {q_extent}, {k_extent} are not positive ints of one rank")
+    axes = [kc[None, :] - qc[:, None] for qc, kc in zip(cells(q_extent), cells(k_extent))]
+    # along each axis the pairs realize every offset from 1 - n_q to n_k - 1
+    box = tuple(n_q + n_k - 1 for n_q, n_k in zip(q_extent, k_extent))
+    table = encode((cells(box) + 1 - np.array(q_extent)[:, None]).T, enc_dim, base, clip)
+    index = flat_index([a + n_q - 1 for a, n_q in zip(axes, q_extent)], box)
+    return OffsetMap(table=table, index=index, ndim=len(box),
+                     delta=np.stack(axes, axis=-1) if len(box) > 1 else axes[0])
+
+
 def offset_map_1d(n_q, n_k, enc_dim, base=DEFAULT_BASE, clip=None):
     """Offsets k - q for aligned sequence positions."""
-    delta = np.arange(n_k)[None, :] - np.arange(n_q)[:, None]
-    lo, hi = int(delta.min()), int(delta.max())
-    table = encode_1d(np.arange(lo, hi + 1), enc_dim, base, clip)
-    return OffsetMap(table=table, index=delta - lo, delta=delta, ndim=1)
+    return offset_map(n_q, n_k, enc_dim, base, clip)
 
 
 def offset_map_2d(height, width, enc_dim, base=DEFAULT_BASE, clip=None):
     """Offsets (dy, dx) between all cell pairs of a height x width grid."""
-    ys, xs = np.divmod(np.arange(height * width), width)
-    dy = ys[None, :] - ys[:, None]
-    dx = xs[None, :] - xs[:, None]
-    span = 2 * width - 1
-    all_dy, all_dx = np.divmod(np.arange((2 * height - 1) * span), span)
-    offsets = np.stack([all_dy - (height - 1), all_dx - (width - 1)], axis=1)
-    table = encode_2d(offsets, enc_dim, base, clip)
-    index = (dy + height - 1) * span + (dx + width - 1)
-    return OffsetMap(table=table, index=index, delta=np.stack([dy, dx], axis=2), ndim=2)
+    return offset_map((height, width), (height, width), enc_dim, base, clip)
 
 
 def local_mask(offsets: OffsetMap, window):
     """Keep pairs within a centered window of odd extent ``window``."""
     if window % 2 != 1 or window < 1:
         raise ContractViolation(f"window must be odd and positive, got {window}")
-    reach = window // 2
-    if offsets.ndim == 1:
-        return np.abs(offsets.delta) <= reach
-    return np.abs(offsets.delta).max(axis=2) <= reach
+    return np.abs(offsets.delta).reshape(*offsets.index.shape, -1).max(axis=-1) <= window // 2
 
 
 def causal_mask(offsets: OffsetMap):

@@ -30,6 +30,7 @@ from operator import add, mul
 import numpy as np
 
 from .errors import ContractViolation, ShapeMismatch
+from .relpos import cells, flat_index
 from .tensor import Rng, Tensor, zeros
 
 OFFSET_LR_SCALE = 0.1
@@ -101,23 +102,11 @@ def check_layout(x, params, extent=None, deformable=False, batch=1):
     return extent
 
 
-def _flat_index(coords, extent, first=0):
-    """Row of per-axis integer coordinates in a row-major grid whose
-    cell (0, ...) sits at row ``first``; -1 where any axis falls outside
-    the extent."""
-    flat = 0
-    inside = True
-    for coord, size in zip(coords, extent):
-        inside = inside & (coord >= 0) & (coord < size)
-        flat = flat * size + coord
-    return np.where(inside, flat + first, -1)
-
-
 def _displaced(extent, points, batch):
     """Integer coordinates of every cell displaced by every point, for
     ``batch`` samples stacked along the rows, shape (ndim, batch * n, K)."""
-    cells = np.indices(extent).reshape(len(extent), -1, 1)
-    return np.tile(cells + np.array(points, dtype=np.int64).T[:, None, :], (1, batch, 1))
+    at = cells(extent)[:, :, None] + np.array(points, dtype=np.int64).T[:, None, :]
+    return np.tile(at, (1, batch, 1))
 
 
 def _first_rows(extent, batch):
@@ -132,7 +121,7 @@ def neighbor_table(extent, points, batch=1):
     the edge, for ``batch`` samples stacked along the rows: each sample's
     rows point into its own sample. Built once per key and shared, so
     read-only."""
-    table = _flat_index(_displaced(extent, points, batch), extent, _first_rows(extent, batch))
+    table = flat_index(_displaced(extent, points, batch), extent, _first_rows(extent, batch))
     table.flags.writeable = False
     return table
 
@@ -194,8 +183,8 @@ def _interpolate(x, positions, extent, first):
                for pos, lo in zip(positions, lows)]
     sampled = []
     for corner in itertools.product((0, 1), repeat=len(extent)):
-        idx = _flat_index([(lo + bit).astype(np.int64) for lo, bit in zip(lows, corner)],
-                          extent, first)
+        idx = flat_index([(lo + bit).astype(np.int64) for lo, bit in zip(lows, corner)],
+                         extent, first)
         weight = reduce(mul, (k[bit] for k, bit in zip(kernels, corner)))
         sampled.append(x.take_rows(idx, oob_zero=True) * weight.reshape(*idx.shape, 1))
     return reduce(add, sampled)
@@ -210,8 +199,8 @@ def deformable_conv(x, params: ConvParams, extent=None, *, batch=1):
     # column ndim * m + axis displaces point m along that axis
     disp = (x @ params.offset_w).reshape(-1)
     column = (np.arange(rows)[:, None] * k + np.arange(k)) * ndim
-    positions = [disp.take_rows(column + axis) + Tensor(cells)
-                 for axis, cells in enumerate(_displaced(extent, params.points, batch))]
+    positions = [disp.take_rows(column + axis) + Tensor(at)
+                 for axis, at in enumerate(_displaced(extent, params.points, batch))]
     return _aggregate(_interpolate(x, positions, extent, _first_rows(extent, batch)), params)
 
 

@@ -1,4 +1,6 @@
-"""Error types shared across the package."""
+"""Error types shared across the package, and the size check they guard."""
+
+import numbers
 
 
 class ShapeMismatch(ValueError):
@@ -15,3 +17,8 @@ class DegenerateRegion(ValueError):
 
 class NumericFault(ArithmeticError):
     """A computation produced non-finite values."""
+
+
+def positive_int(value):
+    """Whether ``value`` is an int above zero; a bool does not count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value > 0

@@ -30,8 +30,7 @@ from .attention import (
     AttentionParams,
     attention_forward,
     local_mask,
-    offset_map_1d,
-    offset_map_2d,
+    offset_map,
 )
 from .conv import ConvParams, deformable_conv, regular_conv
 from .dynconv import DynamicConvParams, dynamic_conv
@@ -80,11 +79,10 @@ def _stacked(samples, key):
 class _Model:
     """Scaffold of the model families: classifier head, loss, prediction,
     accuracy and parameter list. A family defines ``batch_logits``, one
-    forward of a list of samples stacked along the rows, and, if it
-    attends, ``_offsets``; its ``__init__`` lists the trainable tensors
-    in ``self.parts``, in a fixed order, since gradient clipping sums
-    squared norms in parameter order. The per-sample methods are the
-    batch of one."""
+    forward of a list of samples stacked along the rows; its ``__init__``
+    lists the trainable tensors in ``self.parts``, in a fixed order, since
+    gradient clipping sums squared norms in parameter order. The
+    per-sample methods are the batch of one."""
 
     def __init__(self, task, seed):
         c = task.channels
@@ -128,13 +126,13 @@ class _Model:
     def parameters(self):
         return list(self.parts)
 
-    def _attention(self, beta, heads, window):
-        """Set up the switched attention read over ``self._offsets()``;
-        its trainable tensors."""
+    def _attention(self, beta, heads, window, q_extent, k_extent):
+        """Set up the switched attention read from a query extent over a
+        key extent; its trainable tensors."""
         c = self.task.channels
         self.config = AttentionConfig.from_beta(beta, heads=heads)
         self.attn = AttentionParams(c, heads, enc_dim=c, rng=self.rng.child(50))
-        self.offsets = self._offsets()
+        self.offsets = offset_map(q_extent, k_extent, enc_dim=c)
         self.mask = None if window is None else local_mask(self.offsets, window)
         return self.attn.parameters()
 
@@ -143,7 +141,7 @@ class _Model:
         over ``self.extent``; its trainable tensors."""
         self.core = core
         if core == "attention":
-            return self._attention(beta, heads, window)
+            return self._attention(beta, heads, window, self.extent, self.extent)
         if core != "dynamic":
             raise ContractViolation(f"unknown core {core!r}")
         c = self.task.channels
@@ -182,11 +180,8 @@ class RetrievalModel(_Model):
 
     def __init__(self, task, beta, seed, heads=2, deformable=False, window=None):
         super().__init__(task, seed)
-        self.parts = (self._attention(beta, heads, window) + [self.head_w, self.head_b]
-                      + self._deform_unit(deformable))
-
-    def _offsets(self):
-        return offset_map_1d(1, self.task.extent, enc_dim=self.task.channels)
+        self.parts = (self._attention(beta, heads, window, 1, task.extent)
+                      + [self.head_w, self.head_b] + self._deform_unit(deformable))
 
     def batch_logits(self, samples):
         batch = len(samples)
@@ -210,9 +205,6 @@ class GridClassifier(_Model):
         self.parts = (self.backbone.parameters() + [self.head_w, self.head_b]
                       + self._core(core, beta, heads, window, n_groups))
 
-    def _offsets(self):
-        return offset_map_2d(*self.extent, enc_dim=self.task.channels)
-
     def batch_logits(self, samples):
         batch = len(samples)
         conv = regular_conv if self.backbone.offset_w is None else deformable_conv
@@ -232,9 +224,6 @@ class DenoiseModel(_Model):
         self.extent = (task.extent,)
         self.parts = ([self.head_w, self.head_b] + self._deform_unit(deformable)
                       + self._core(core, beta, heads, window, n_groups))
-
-    def _offsets(self):
-        return offset_map_1d(*self.extent, *self.extent, enc_dim=self.task.channels)
 
     def batch_logits(self, samples):
         batch = len(samples)

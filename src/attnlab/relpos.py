@@ -1,11 +1,14 @@
-"""Sinusoidal encodings of relative positions.
+"""Row-major extents and sinusoidal encodings of relative positions.
+
+A sequence or a grid is a row-major extent; ``cells`` lists its cell
+coordinates and ``flat_index`` maps coordinates back to rows.
 
 Offsets are embedded with interleaved sine/cosine channels across a
 geometric frequency ladder, the usual fixed encoding. Entry 2i holds
 sin(d / base^(2i/dim)) and entry 2i+1 the matching cosine. Offsets are
 clipped to a maximum magnitude first, so far-apart pairs share the
-encoding of the clip boundary. 2-d offsets concatenate a 1-d encoding
-per axis, which is why the 2-d dimension must be divisible by four.
+encoding of the clip boundary. An offset of rank r concatenates one
+encoding per axis, so its dimension must be divisible by 2r.
 """
 
 import numpy as np
@@ -15,35 +18,43 @@ from .errors import ContractViolation
 DEFAULT_BASE = 10000.0
 
 
-def encode_1d(offsets, dim, base=DEFAULT_BASE, clip=None):
-    """Encode integer offsets as (n, dim) sinusoid features."""
-    if dim % 2 != 0:
-        raise ContractViolation(f"encoding dim must be even, got {dim}")
+def cells(extent):
+    """(ndim, n) coordinates of a row-major extent's cells, one row per axis."""
+    return np.indices(extent).reshape(len(extent), -1)
+
+
+def flat_index(coords, extent, first=0):
+    """Row of per-axis integer coordinates in a row-major grid whose
+    cell (0, ...) sits at row ``first``; -1 where any axis falls outside
+    the extent."""
+    flat = 0
+    inside = True
+    for coord, size in zip(coords, extent):
+        inside = inside & (coord >= 0) & (coord < size)
+        flat = flat * size + coord
+    return np.where(inside, flat + first, -1)
+
+
+def encode(offsets, dim, base=DEFAULT_BASE, clip=None, ndim=None):
+    """Encode (..., r) integer offsets as (..., dim) sinusoid features,
+    dim // r channels per axis; ``ndim``, if given, is the r required."""
     d = np.asarray(offsets, dtype=np.float64)
-    scalar = d.ndim == 0
-    d = np.atleast_1d(d)
+    rank = d.shape[-1] if d.ndim else 0
+    if rank < 1 or ndim not in (None, rank) or dim % (2 * rank):
+        raise ContractViolation(f"cannot encode offsets of shape {d.shape} in {dim} channels: "
+                                f"need {ndim or 'r > 0'} components and a dim divisible by 2r")
     if clip is not None:
         d = np.clip(d, -clip, clip)
-    freqs = base ** (np.arange(0, dim, 2) / dim)
-    angles = d[:, None] / freqs[None, :]
-    out = np.empty((d.shape[0], dim))
-    out[:, 0::2] = np.sin(angles)
-    out[:, 1::2] = np.cos(angles)
-    return out[0] if scalar else out
+    per_axis = dim // rank
+    angles = d[..., None] / base ** (np.arange(0, per_axis, 2) / per_axis)
+    return np.stack([np.sin(angles), np.cos(angles)], axis=-1).reshape(d.shape[:-1] + (dim,))
+
+
+def encode_1d(offsets, dim, base=DEFAULT_BASE, clip=None):
+    """Encode integer offsets as (n, dim) sinusoid features."""
+    return encode(np.expand_dims(offsets, -1), dim, base, clip)
 
 
 def encode_2d(offsets, dim, base=DEFAULT_BASE, clip=None):
     """Encode (dy, dx) offsets; each axis gets half the channels."""
-    if dim % 4 != 0:
-        raise ContractViolation(f"2-d encoding dim must be divisible by 4, got {dim}")
-    d = np.asarray(offsets, dtype=np.float64)
-    scalar = d.ndim == 1
-    d = np.atleast_2d(d)
-    if d.shape[1] != 2:
-        raise ContractViolation(f"2-d offsets need two components, got shape {d.shape}")
-    half = dim // 2
-    out = np.concatenate(
-        [encode_1d(d[:, 0], half, base, clip), encode_1d(d[:, 1], half, base, clip)],
-        axis=1,
-    )
-    return out[0] if scalar else out
+    return encode(offsets, dim, base, clip, ndim=2)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, positive_int
 from .tensor import Rng
 
 
@@ -60,7 +60,7 @@ class ToyTask:
     flip: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.eval_size, numbers.Integral) or self.eval_size < 1:
+        if not positive_int(self.eval_size):
             raise ContractViolation(f"eval_size must be a positive int, got {self.eval_size!r}")
         self._rng = Rng(self.seed)
         self._eval = None
@@ -139,16 +139,13 @@ def window_majority(observed):
     """Per-position majority over a 3-wide window, ties keep the center.
 
     This is the labeling rule of windowed-denoise; windows are truncated
-    at the sequence edges.
+    at the sequence edges, so an edge keeps its value. An interior
+    position takes its left neighbour when both neighbours agree, and
+    otherwise keeps its value.
     """
-    n = len(observed)
-    labels = np.empty(n, dtype=np.int64)
-    for q in range(n):
-        window = observed[max(0, q - 1): q + 2]
-        values, counts = np.unique(window, return_counts=True)
-        top = counts.max()
-        winners = values[counts == top]
-        labels[q] = winners[0] if len(winners) == 1 else observed[q]
+    labels = np.array(observed, dtype=np.int64)
+    left, right = labels[:-2], labels[2:]
+    labels[1:-1] = np.where(left == right, left, labels[1:-1])
     return labels
 
 
@@ -171,9 +168,7 @@ def _draw_denoise(task, rng):
 
 def _check_sizes(**sizes):
     """Raise ContractViolation naming every size that is not a positive int."""
-    bad = [f"{name}={value!r}" for name, value in sizes.items()
-           if isinstance(value, bool) or not isinstance(value, numbers.Integral)
-           or value < 1]
+    bad = [f"{name}={value!r}" for name, value in sizes.items() if not positive_int(value)]
     if bad:
         raise ContractViolation(f"sizes must be positive ints: {', '.join(bad)}")
 

@@ -221,3 +221,16 @@ def loop_dynamic1d(h, kernel_pred, w_point, n_groups, points, renormalize=False)
                         acc += kernel[j] * h[k, ci]
                 mixed[q, ci] = acc
     return mixed @ w_point.T
+
+
+def window_majority_loop(observed):
+    """Windowed-denoise labels by counting each truncated 3-wide window:
+    the most frequent value, or the center on a tie."""
+    n = len(observed)
+    labels = np.empty(n, dtype=np.int64)
+    for q in range(n):
+        window = observed[max(0, q - 1): q + 2]
+        values, counts = np.unique(window, return_counts=True)
+        winners = values[counts == counts.max()]
+        labels[q] = winners[0] if len(winners) == 1 else observed[q]
+    return labels

@@ -10,11 +10,12 @@ import signal
 import numpy as np
 import pytest
 
+from attnlab.attention import AttentionConfig, AttentionParams
 from attnlab.errors import ContractViolation, ShapeMismatch
 from attnlab.harness import RESULT_COLUMNS, RunConfig, emit_results, run_grid, train
 from attnlab.models import build_model
 from attnlab.tasks import make_task
-from attnlab.tensor import Tensor
+from attnlab.tensor import Rng, Tensor
 
 FAST = {"steps": 2, "batch_size": 2}
 
@@ -152,3 +153,24 @@ def test_window_zero_is_rejected_not_ignored():
     with pytest.raises(ContractViolation, match="window"):
         build_model(task, "transformer", "0100", seed=0, window=0)
     assert build_model(task, "transformer", "0100", seed=0).mask is None
+
+
+@pytest.mark.parametrize("heads", [0, -2, 2.5, True, "2", None])
+def test_head_count_that_is_not_a_positive_int_is_rejected(heads):
+    with pytest.raises(ContractViolation, match="head count"):
+        AttentionParams(10, heads, enc_dim=8, rng=Rng(0))
+    with pytest.raises(ContractViolation, match="head count"):
+        AttentionConfig(gates=(True, False, False, False), heads=heads)
+
+
+def test_numpy_int_head_count_is_accepted():
+    params = AttentionParams(10, np.int64(2), enc_dim=8, rng=Rng(0))
+    assert len(params.parameters()) == 7 * 2 + 1
+    assert AttentionConfig(gates=(True, False, False, False), heads=np.int64(2)).heads == 2
+
+
+def test_bool_eval_size_is_a_failed_row():
+    rec = train(RunConfig(task="permuted-copy", steps=1, batch_size=1,
+                          task_options={"eval_size": True}))
+    assert rec.failed and rec.error.startswith("ContractViolation")
+    assert "eval_size" in rec.error

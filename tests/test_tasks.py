@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attnlab.errors import ContractViolation
 from attnlab.tasks import (
@@ -12,6 +14,8 @@ from attnlab.tasks import (
     masked_average_oracle,
     window_majority,
 )
+
+from oracles import window_majority_loop
 
 
 # -- permuted-copy ------------------------------------------------------------
@@ -166,3 +170,11 @@ def test_embeddings_orthonormal():
 def test_make_task_rejects_unknown_kind():
     with pytest.raises(ContractViolation):
         make_task("sorting", seed=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda vocab: st.lists(st.integers(0, vocab - 1), min_size=1, max_size=40)))
+def test_window_majority_matches_counting_loop(observed):
+    observed = np.array(observed)
+    np.testing.assert_array_equal(window_majority(observed), window_majority_loop(observed))
