@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ContractViolation, ShapeMismatch, positive_int
 from .relpos import DEFAULT_BASE, cells, encode, flat_index
-from .tensor import Rng, Tensor, gather_dot
+from .tensor import Rng, Tensor, gather_dot, rows_per_sample
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,9 @@ class AttentionParams:
     def __init__(self, channels, heads, enc_dim, rng: Rng):
         if not positive_int(heads):
             raise ContractViolation(f"head count must be a positive int, got {heads!r}")
+        if not (positive_int(channels) and positive_int(enc_dim)):
+            raise ContractViolation(f"channels ({channels!r}) and enc_dim ({enc_dim!r}) "
+                                    f"must be positive ints")
         if channels % heads != 0:
             raise ShapeMismatch(f"heads ({heads}) must divide channels ({channels})")
         self.channels = channels
@@ -161,8 +164,8 @@ def offset_map_2d(height, width, enc_dim, base=DEFAULT_BASE, clip=None):
 
 def local_mask(offsets: OffsetMap, window):
     """Keep pairs within a centered window of odd extent ``window``."""
-    if window % 2 != 1 or window < 1:
-        raise ContractViolation(f"window must be odd and positive, got {window}")
+    if not positive_int(window) or window % 2 != 1:
+        raise ContractViolation(f"window must be an odd positive int, got {window!r}")
     return np.abs(offsets.delta).reshape(*offsets.index.shape, -1).max(axis=-1) <= window // 2
 
 
@@ -238,13 +241,6 @@ def pos_only_profile(offsets, params):
 # -- the layer ----------------------------------------------------------------
 
 
-def _rows_per_sample(t, batch, what):
-    """Rows of one sample in a batch stacked along the rows of ``t``."""
-    if batch < 1 or t.shape[0] % batch:
-        raise ShapeMismatch(f"{what} has {t.shape[0]} rows, not a batch of {batch} samples")
-    return t.shape[0] // batch
-
-
 def attention_weights(z, x, params, config, offsets=None, mask=None, *, batch=1):
     """Per-head attention weight matrices, shape (batch * n_q, n_k) each.
 
@@ -258,8 +254,8 @@ def attention_weights(z, x, params, config, offsets=None, mask=None, *, batch=1)
         raise ShapeMismatch(f"config has {config.heads} heads, params {params.heads}")
     if (g_qp or g_po) and offsets is None:
         raise ContractViolation("positional terms need an OffsetMap")
-    n_q = _rows_per_sample(z, batch, "z")
-    n_k = _rows_per_sample(x, batch, "x")
+    n_q = rows_per_sample(z, batch, "z")
+    n_k = rows_per_sample(x, batch, "x")
     # key_only and pos_only, alone or with each other only, lack an axis
     # of (batch, n_q, n_k); the zero grid gives the sum that shape
     full = g_qk or g_qp or (g_ko and g_po)
@@ -293,8 +289,8 @@ def attention_forward(z, x, params, config, offsets=None, mask=None, mode="self"
             f"inputs have {z.shape[1]}/{x.shape[1]} channels, params expect {params.channels}"
         )
     weights = attention_weights(z, x, params, config, offsets, mask, batch=batch)
-    n_q = z.shape[0] // batch
-    n_k = x.shape[0] // batch
+    n_q = rows_per_sample(z, batch, "z")
+    n_k = rows_per_sample(x, batch, "x")
     y = None
     for m in range(params.heads):
         vm = (x @ params.value_proj[m].T).reshape(batch, n_k, params.head_dim)

@@ -69,12 +69,17 @@ def _cmd_grid(args):
 
 
 def _cmd_flops(args):
-    ns = [int(v) for v in args.ns.split(",")]
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            emit_table(ns, args.c, args.nk, args.ng, args.m, out=fh)
-    else:
-        sys.stdout.write(emit_table(ns, args.c, args.nk, args.ng, args.m))
+    try:
+        ns = [int(v) for v in args.ns.split(",")]
+        text = emit_table(ns, args.c, args.nk, args.ng, args.m)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except (OSError, ValueError) as exc:  # ContractViolation is a ValueError
+        print(f"flops: {exc}", file=sys.stderr)
+        return 2
+    if not args.out:
+        sys.stdout.write(text)
     return 0
 
 

@@ -29,17 +29,17 @@ from operator import add, mul
 
 import numpy as np
 
-from .errors import ContractViolation, ShapeMismatch
+from .errors import ContractViolation, ShapeMismatch, positive_int
 from .relpos import cells, flat_index
-from .tensor import Rng, Tensor, zeros
+from .tensor import Rng, Tensor, rows_per_sample, zeros
 
 OFFSET_LR_SCALE = 0.1
 
 
 def kernel_points(kernel, ndim):
     """Sampling offsets of a centered kernel, row-major, center included."""
-    if kernel % 2 != 1 or kernel < 1:
-        raise ContractViolation(f"kernel must be odd and positive, got {kernel}")
+    if not positive_int(kernel) or kernel % 2 != 1:
+        raise ContractViolation(f"kernel must be an odd positive int, got {kernel!r}")
     if ndim not in (1, 2):
         raise ContractViolation(f"ndim must be 1 or 2, got {ndim}")
     reach = kernel // 2
@@ -52,6 +52,8 @@ class ConvParams:
     optionally an offset predictor for the deformable variant."""
 
     def __init__(self, c_in, c_out, kernel, ndim, rng: Rng, deformable=False):
+        if not (positive_int(c_in) and positive_int(c_out)):
+            raise ContractViolation(f"channels ({c_in!r}, {c_out!r}) must be positive ints")
         self.c_in = c_in
         self.c_out = c_out
         self.kernel = kernel
@@ -85,12 +87,13 @@ def check_layout(x, params, extent=None, deformable=False, batch=1):
     ``extent=None`` means sequences of ``x.shape[0] // batch`` cells; a
     tuple gives the sizes of a row-major grid.
     """
-    if batch < 1 or x.shape[0] % batch:
-        raise ShapeMismatch(f"input has {x.shape[0]} rows, not a batch of {batch} samples")
-    extent = (x.shape[0] // batch,) if extent is None else tuple(extent)
+    rows = rows_per_sample(x, batch, "input")
+    extent = (rows,) if extent is None else tuple(extent)
     if len(extent) != params.ndim:
         raise ContractViolation(f"extent {extent} has {len(extent)} axes, params "
                                 f"were built for ndim={params.ndim}")
+    if not all(map(positive_int, extent)):
+        raise ContractViolation(f"extent {extent} is not all positive ints")
     if deformable and params.offset_w is None:
         raise ContractViolation("params carry no offset predictor; build with deformable=True")
     n = math.prod(extent) * batch

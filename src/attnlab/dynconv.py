@@ -19,13 +19,13 @@ from __future__ import annotations
 import numpy as np
 
 from .conv import check_layout, kernel_points, neighbor_table
-from .errors import ContractViolation, ShapeMismatch
+from .errors import ContractViolation, ShapeMismatch, positive_int
 from .tensor import Rng, Tensor
 
 
 def group_of_channel(channel, channels, n_groups):
     """1-indexed group of a 1-indexed channel; groups are contiguous."""
-    if channels % n_groups != 0:
+    if not positive_int(n_groups) or channels % n_groups != 0:
         raise ShapeMismatch(f"groups ({n_groups}) must divide channels ({channels})")
     if not 1 <= channel <= channels:
         raise ContractViolation(f"channel {channel} out of range 1..{channels}")
@@ -36,6 +36,9 @@ class DynamicConvParams:
     """GLU projections, grouped kernel predictor, pointwise output."""
 
     def __init__(self, c_in, c_out, kernel, n_groups, rng: Rng, ndim=1):
+        if not all(map(positive_int, (c_in, c_out, n_groups))):
+            raise ContractViolation(f"channels ({c_in!r}, {c_out!r}) and groups ({n_groups!r}) "
+                                    f"must be positive ints")
         if c_in % n_groups != 0:
             raise ShapeMismatch(f"groups ({n_groups}) must divide channels ({c_in})")
         self.c_in = c_in

@@ -22,7 +22,7 @@ import csv
 import io
 import math
 
-from .errors import ContractViolation
+from .errors import ContractViolation, positive_int
 
 TERMS = ("query_key", "query_pos", "key_only", "pos_only")
 
@@ -49,8 +49,8 @@ def _energy_parts(gates, n_q, n_k, c, m, enc_dim=None, n_offsets=None):
     (m * head_dim = c). The offset table defaults to the n_q + n_k - 1
     rows of ``offset_map_1d(n_q, n_k)``.
     """
-    if c % m != 0:
-        raise ContractViolation(f"heads ({m}) must divide channels ({c})")
+    if not (positive_int(c) and positive_int(m)) or c % m != 0:
+        raise ContractViolation(f"heads ({m!r}) must be a positive int dividing channels ({c!r})")
     enc_dim = c if enc_dim is None else enc_dim
     n_offsets = n_q + n_k - 1 if n_offsets is None else n_offsets
     g_qk, g_qp, g_ko, g_po = gates
@@ -131,8 +131,9 @@ def count_dynamic(n_s, n_k, c_in, n_g, c_out=None):
     Returns (macs, exps, divs). Only the n_s*c*n_g*n_k predictor block
     scales with the group count.
     """
-    if c_in % n_g != 0:
-        raise ContractViolation(f"groups ({n_g}) must divide channels ({c_in})")
+    if not (positive_int(c_in) and positive_int(n_g)) or c_in % n_g != 0:
+        raise ContractViolation(f"groups ({n_g!r}) must be a positive int dividing "
+                                f"channels ({c_in!r})")
     c_out = c_in if c_out is None else c_out
     glu = 2 * n_s * c_in * c_in + n_s * c_in
     predict = n_s * c_in * n_g * n_k
@@ -181,6 +182,9 @@ def table_rows(ns_list, c, n_k, n_g, m):
     Four attention-term rows (dense, global) and the three convolution
     mechanisms, one block per sequence length.
     """
+    if not all(map(positive_int, (*ns_list, c, n_k, n_g, m))):
+        raise ContractViolation(f"sizes must be positive ints, got N_s={ns_list}, C={c}, "
+                                f"N_k={n_k}, N_g={n_g}, M={m}")
     rows = []
     for n_s in ns_list:
         for term in TERMS:

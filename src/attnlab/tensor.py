@@ -18,7 +18,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ContractViolation, DegenerateRegion, NumericFault, ShapeMismatch
+from .errors import ContractViolation, DegenerateRegion, NumericFault, ShapeMismatch, positive_int
 
 
 class MacCounter:
@@ -85,6 +85,26 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
+def _row_index(indices, n, in_range=True):
+    """``indices`` as int64 rows of an n-row operand; a non-integer dtype
+    is rejected, and so is a row outside 0..n-1 when ``in_range``."""
+    idx = np.asarray(indices)
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise ContractViolation(f"row indices must be integers, got dtype {idx.dtype}")
+    idx = idx.astype(np.int64, copy=False)
+    if in_range and idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ContractViolation(f"index out of range for {n} rows")
+    return idx
+
+
+def rows_per_sample(t, batch, what):
+    """Rows of one sample in a batch of ``batch`` samples stacked along the
+    rows of ``t``; the one batch-row check of the layers."""
+    if not positive_int(batch) or t.shape[0] % batch:
+        raise ShapeMismatch(f"{what} has {t.shape[0]} rows, not a batch of {batch!r} samples")
+    return t.shape[0] // batch
+
+
 class Tensor:
     """A numpy array plus the tape bookkeeping needed for backward.
 
@@ -115,6 +135,11 @@ class Tensor:
             out._parents = tracked
             out._backward = backward
         return out
+
+    def _unary(self, data, grad):
+        """A single-input op with value ``data``; ``grad(g)`` is its
+        vector-Jacobian product, the gradient it passes back to self."""
+        return Tensor._from_op(data, (self,), lambda g: self._accum(grad(g)))
 
     @property
     def shape(self):
@@ -149,10 +174,7 @@ class Tensor:
     __radd__ = __add__
 
     def __neg__(self):
-        def backward(g):
-            self._accum(-g)
-
-        return Tensor._from_op(-self.data, (self,), backward)
+        return self._unary(-self.data, lambda g: -g)
 
     def __sub__(self, other):
         return self + (-_as_tensor(other))
@@ -179,11 +201,7 @@ class Tensor:
         s = float(scalar)
         data = self.data / s
         _emit(divs=data.size)
-
-        def backward(g):
-            self._accum(g / s)
-
-        return Tensor._from_op(data, (self,), backward)
+        return self._unary(data, lambda g: g / s)
 
     def __matmul__(self, other):
         """Matrix product over the last two axes; leading axes broadcast
@@ -214,91 +232,52 @@ class Tensor:
         """The last two axes swapped: the transpose of each matrix."""
         if self.ndim < 2:
             raise ShapeMismatch(f"transpose expects 2 or more dims, got shape {self.shape}")
-
-        def backward(g):
-            self._accum(np.swapaxes(g, -1, -2))
-
-        return Tensor._from_op(np.swapaxes(self.data, -1, -2).copy(), (self,), backward)
+        return self._unary(np.swapaxes(self.data, -1, -2).copy(), lambda g: np.swapaxes(g, -1, -2))
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], tuple):
             shape = shape[0]
-        old = self.shape
+        return self._unary(self.data.reshape(shape), lambda g: g.reshape(self.shape))
 
-        def backward(g):
-            self._accum(g.reshape(old))
-
-        return Tensor._from_op(self.data.reshape(shape), (self,), backward)
-
+    # the all-axes backwards fill with np.full, several times faster than
+    # np.broadcast_to on the small arrays a loss reduces
     def sum(self, axis=None, keepdims=False):
         data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def backward(g):
-            if axis is None:
-                self._accum(np.full(self.shape, g if np.ndim(g) == 0 else g.item()))
-            else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-                self._accum(np.broadcast_to(gg, self.shape).copy())
-
-        return Tensor._from_op(data, (self,), backward)
+        if axis is None:
+            return self._unary(data, lambda g: np.full(self.shape, g.item()))
+        return self._unary(data, lambda g: np.broadcast_to(
+            g if keepdims else np.expand_dims(g, axis), self.shape).copy())
 
     def mean(self, axis=None):
-        n = self.size if axis is None else self.shape[axis]
         data = self.data.mean(axis=axis)
         _emit(divs=data.size if data.ndim else 1)
-
-        def backward(g):
-            if axis is None:
-                self._accum(np.full(self.shape, float(g) / n))
-            else:
-                self._accum(np.broadcast_to(np.expand_dims(g, axis), self.shape) / n)
-
-        return Tensor._from_op(data, (self,), backward)
+        if axis is None:
+            return self._unary(data, lambda g: np.full(self.shape, float(g) / self.size))
+        n = self.shape[axis]
+        return self._unary(data, lambda g: np.broadcast_to(np.expand_dims(g, axis), self.shape) / n)
 
     # -- pointwise nonlinearities ----------------------------------------------
 
     def exp(self):
         data = np.exp(self.data)
         _emit(exps=data.size)
-
-        def backward(g):
-            self._accum(g * data)
-
-        return Tensor._from_op(data, (self,), backward)
+        return self._unary(data, lambda g: g * data)
 
     def log(self):
         data = np.log(self.data)
         _emit(exps=data.size)
-
-        def backward(g):
-            self._accum(g / self.data)
-
-        return Tensor._from_op(data, (self,), backward)
+        return self._unary(data, lambda g: g / self.data)
 
     def sigmoid(self):
         data = 1.0 / (1.0 + np.exp(-self.data))
         _emit(exps=data.size, divs=data.size)
-
-        def backward(g):
-            self._accum(g * data * (1.0 - data))
-
-        return Tensor._from_op(data, (self,), backward)
+        return self._unary(data, lambda g: g * data * (1.0 - data))
 
     def relu(self):
-        data = np.maximum(self.data, 0.0)
-
-        def backward(g):
-            self._accum(g * (self.data > 0))
-
-        return Tensor._from_op(data, (self,), backward)
+        return self._unary(np.maximum(self.data, 0.0), lambda g: g * (self.data > 0))
 
     def abs(self):
-        data = np.abs(self.data)
-
-        def backward(g):
-            self._accum(g * np.sign(self.data))
-
-        return Tensor._from_op(data, (self,), backward)
+        return self._unary(np.abs(self.data), lambda g: g * np.sign(self.data))
 
     # -- softmax ----------------------------------------------------------------
 
@@ -312,7 +291,11 @@ class Tensor:
         x = self.data
         if mask is not None:
             m = mask.data if isinstance(mask, Tensor) else np.asarray(mask)
-            m = np.broadcast_to(m.astype(bool), x.shape)
+            try:
+                m = np.broadcast_to(m.astype(bool), x.shape)
+            except ValueError as exc:
+                raise ShapeMismatch(f"mask of shape {m.shape} does not broadcast to "
+                                    f"energies of shape {x.shape}") from exc
             x = np.where(m, x, -np.inf)
         top = x.max(axis=axis, keepdims=True)
         # a slice has a valid entry exactly when its max is not -inf
@@ -323,21 +306,12 @@ class Tensor:
         np.exp(data, out=data)
         data /= data.sum(axis=axis, keepdims=True)
         _emit(exps=data.size, divs=data.size)
-
-        def backward(g):
-            inner = (g * data).sum(axis=axis, keepdims=True)
-            self._accum(data * (g - inner))
-
-        return Tensor._from_op(data, (self,), backward)
+        return self._unary(data, lambda g: data * (g - (g * data).sum(axis=axis, keepdims=True)))
 
     def reciprocal(self):
         data = 1.0 / self.data
         _emit(divs=data.size)
-
-        def backward(g):
-            self._accum(-g * data * data)
-
-        return Tensor._from_op(data, (self,), backward)
+        return self._unary(data, lambda g: -g * data * data)
 
     # -- gathers ------------------------------------------------------------------
 
@@ -350,25 +324,23 @@ class Tensor:
         The backward sums the gradient per (row, entry) pair with one
         bincount; off-edge reads land in a spare row n that is dropped.
         """
-        idx = np.asarray(indices, dtype=np.int64)
         n = self.shape[0]
+        idx = _row_index(indices, n, in_range=not oob_zero)
         if oob_zero:
             ok = (idx >= 0) & (idx < n)
             data = np.take(self.data, np.where(ok, idx, 0), axis=0)
             data[~ok] = 0.0
             idx = np.where(ok, idx, n)
         else:
-            if idx.size and (idx.min() < 0 or idx.max() >= n):
-                raise ContractViolation(f"index out of range for {n} rows")
             data = np.take(self.data, idx, axis=0)
 
-        def backward(g):
+        def scatter(g):
             width = math.prod(self.shape[1:])
             pairs = idx.reshape(-1, 1) * width + np.arange(width)
             gt = np.bincount(pairs.ravel(), weights=g.ravel(), minlength=(n + 1) * width)
-            self._accum(gt[:n * width].reshape(self.shape))
+            return gt[:n * width].reshape(self.shape)
 
-        return Tensor._from_op(data, (self,), backward)
+        return self._unary(data, scatter)
 
     # -- autodiff ----------------------------------------------------------------
 
@@ -429,19 +401,17 @@ def gather_dot(a, table, index):
     (row of ``a``, offset) into S with one bincount, then finishes with
     ``S @ table`` and ``S.T @ a``; S stays (rows, n_offsets).
     """
-    idx = np.asarray(index, dtype=np.int64)
-    if idx.ndim != 2:
-        raise ContractViolation(f"gather_dot needs an (n_q, n_k) index, got shape {idx.shape}")
-    n_q, n_k = idx.shape
     if a.ndim < 2 or table.ndim != 2 or a.shape[-1] != table.shape[1]:
         raise ShapeMismatch(f"gather_dot needs (..., n, d) and (n_offsets, d) operands, "
                             f"got {a.shape} and {table.shape}")
+    n_off, d = table.shape
+    idx = _row_index(index, n_off)
+    if idx.ndim != 2:
+        raise ContractViolation(f"gather_dot needs an (n_q, n_k) index, got shape {idx.shape}")
+    n_q, n_k = idx.shape
     rows = a.shape[-2]
     if rows not in (1, n_q):
         raise ShapeMismatch(f"gather_dot: {rows} rows of a for {n_q} queries")
-    n_off, d = table.shape
-    if idx.size and (idx.min() < 0 or idx.max() >= n_off):
-        raise ContractViolation(f"index out of range for {n_off} rows")
     lead = a.shape[:-2]
     data = np.empty(lead + (n_q, n_k))
     _emit(macs=data.size * d)

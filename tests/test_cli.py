@@ -104,3 +104,23 @@ def test_grid_with_a_bad_config_file_exits_2(tmp_path, capsys, text, message):
     assert code == 2
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--m", "0"), ("--ng", "0"), ("--m", "3"), ("--ng", "3"),
+    ("--ns", "x"), ("--ns", "0"), ("--c", "-16"),
+])
+def test_flops_bad_argument_exits_2_with_one_line(flag, value, capsys):
+    code = main(["flops", flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("flops: ") and captured.err.count("\n") == 1
+
+
+def test_flops_bad_argument_writes_no_file(tmp_path, capsys):
+    out = tmp_path / "flops.csv"
+    assert main(["flops", "--m", "0", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert main(["flops", "--out", str(tmp_path / "missing" / "flops.csv")]) == 2
+    assert capsys.readouterr().err.startswith("flops: ")

@@ -10,12 +10,22 @@ import signal
 import numpy as np
 import pytest
 
-from attnlab.attention import AttentionConfig, AttentionParams
+from attnlab.attention import (
+    AttentionConfig,
+    AttentionParams,
+    attention_forward,
+    attention_weights,
+    local_mask,
+    offset_map_1d,
+)
+from attnlab.conv import ConvParams, deformable_conv, regular_conv
+from attnlab.dynconv import DynamicConvParams, dynamic_conv
 from attnlab.errors import ContractViolation, ShapeMismatch
+from attnlab.flops import count_attention, count_dynamic
 from attnlab.harness import RESULT_COLUMNS, RunConfig, emit_results, run_grid, train
 from attnlab.models import build_model
 from attnlab.tasks import make_task
-from attnlab.tensor import Rng, Tensor
+from attnlab.tensor import Rng, Tensor, gather_dot
 
 FAST = {"steps": 2, "batch_size": 2}
 
@@ -174,3 +184,92 @@ def test_bool_eval_size_is_a_failed_row():
                           task_options={"eval_size": True}))
     assert rec.failed and rec.error.startswith("ContractViolation")
     assert "eval_size" in rec.error
+
+
+@pytest.mark.parametrize("build", [
+    lambda: AttentionParams(8, 2, enc_dim=0, rng=Rng(0)),
+    lambda: AttentionParams(0, 1, enc_dim=8, rng=Rng(0)),
+    lambda: AttentionParams(-4, 2, enc_dim=8, rng=Rng(0)),
+    lambda: AttentionParams(8.0, 2, enc_dim=8, rng=Rng(0)),
+    lambda: ConvParams(0, 4, kernel=3, ndim=2, rng=Rng(0)),
+    lambda: ConvParams(4, -1, kernel=3, ndim=1, rng=Rng(0)),
+    lambda: ConvParams(4, 4, kernel=True, ndim=1, rng=Rng(0)),
+    lambda: DynamicConvParams(8, 8, 3, 0, rng=Rng(0)),
+    lambda: DynamicConvParams(0, 8, 3, 2, rng=Rng(0)),
+    lambda: count_attention((True, False, False, False), 4, 4, 8, 0),
+    lambda: count_dynamic(4, 3, 8, 0),
+], ids=["attn-enc-0", "attn-channels-0", "attn-channels-neg", "attn-channels-float",
+        "conv-cin-0", "conv-cout-neg", "conv-kernel-bool", "dyn-groups-0", "dyn-cin-0",
+        "count-attention-m-0", "count-dynamic-ng-0"])
+def test_non_positive_size_is_rejected_at_the_constructor(build):
+    with pytest.raises(ContractViolation):
+        build()
+
+
+def _conv_input(rows, c=4):
+    return Tensor(Rng(1).uniform(-1, 1, (rows, c)))
+
+
+@pytest.mark.parametrize("conv, extent, rows", [
+    (regular_conv, (2.5, 2), 5),
+    (regular_conv, (0, 3), 0),
+    (deformable_conv, (0, 3), 0),
+    (regular_conv, (-2, -3), 6),
+    (dynamic_conv, (0,), 0),
+    (dynamic_conv, None, 0),
+])
+def test_conv_extent_that_is_not_positive_ints_is_rejected(conv, extent, rows):
+    ndim = 1 if extent is None else len(extent)
+    if conv is dynamic_conv:
+        params = DynamicConvParams(4, 4, 3, 2, rng=Rng(0), ndim=ndim)
+    else:
+        params = ConvParams(4, 4, 3, ndim=ndim, rng=Rng(0), deformable=True)
+    with pytest.raises(ContractViolation, match="extent"):
+        conv(_conv_input(rows), params, extent)
+
+
+@pytest.mark.parametrize("window", [True, 3.0])
+def test_window_that_is_not_an_odd_positive_int_is_rejected(window):
+    with pytest.raises(ContractViolation, match="window"):
+        local_mask(offset_map_1d(5, 5, enc_dim=4), window)
+
+
+@pytest.mark.parametrize("indices", [np.array([0.5]), np.array([True, False]), [1.0]])
+def test_row_indices_must_have_an_integer_dtype(indices):
+    t = Tensor(np.arange(6.0).reshape(3, 2))
+    with pytest.raises(ContractViolation, match="integer"):
+        t.take_rows(indices)
+    with pytest.raises(ContractViolation, match="integer"):
+        t.take_rows(indices, oob_zero=True)
+    a = Tensor(np.ones((1, 2)))
+    with pytest.raises(ContractViolation, match="integer"):
+        gather_dot(a, t, np.reshape(indices, (1, -1)))
+
+
+def _layer(channels=4, heads=2):
+    params = AttentionParams(channels, heads, enc_dim=4, rng=Rng(0))
+    return params, AttentionConfig.from_beta("1111", heads=heads)
+
+
+def test_mask_that_does_not_fit_the_energies_names_both_shapes():
+    params, config = _layer()
+    x = Tensor(Rng(2).uniform(-1, 1, (4, 4)))
+    offsets = offset_map_1d(4, 4, enc_dim=4)
+    with pytest.raises(ShapeMismatch, match=r"\(4, 3\).*\(1, 4, 4\)"):
+        attention_weights(x, x, params, config, offsets, mask=np.ones((4, 3), bool))
+    with pytest.raises(ShapeMismatch, match=r"\(2, 5\).*\(3, 4\)"):
+        Tensor(np.ones((3, 4))).softmax(mask=np.ones((2, 5), bool))
+
+
+@pytest.mark.parametrize("batch", [2.0, True, np.float64(2)])
+def test_batch_that_is_not_a_positive_int_is_a_shape_mismatch(batch):
+    params, config = _layer()
+    x = Tensor(Rng(3).uniform(-1, 1, (4, 4)))
+    offsets = offset_map_1d(2, 2, enc_dim=4)
+    with pytest.raises(ShapeMismatch, match="batch"):
+        attention_weights(x, x, params, config, offsets, batch=batch)
+    with pytest.raises(ShapeMismatch, match="batch"):
+        attention_forward(x, x, params, config, offsets, batch=batch)
+    conv_params = ConvParams(4, 4, 3, ndim=1, rng=Rng(0))
+    with pytest.raises(ShapeMismatch, match="batch"):
+        regular_conv(x, conv_params, batch=batch)

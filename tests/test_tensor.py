@@ -625,3 +625,73 @@ def test_backward_frees_each_intermediate_gradient_once_used():
     np.testing.assert_array_equal(x.grad, np.ones(1 << 17))
     # the gradients of the whole chain held at once would be 40 MiB
     assert peak < 6 * x.data.nbytes
+
+
+# -- every single-input op ------------------------------------------------------------
+
+
+def _unary_ops(shape, axis, keepdims, rng):
+    """Each single-input op as a function of its input, with the (macs,
+    exps, divs) its forward emits as a function of input and output."""
+    scalar = float(rng.uniform(0.5, 2.0)) * (1.0 if rng.uniform(0, 1) < 0.5 else -1.0)
+    other = Tensor(rng.uniform(-1, 1, shape))
+    rows = rng.integers(0, shape[0], (3, 2))  # repeats rows, skips some
+    edge = rng.integers(-1, shape[0] + 1, (4,))  # off-edge reads included
+    last = -1 if axis is None else axis
+    none = lambda x, out: (0, 0, 0)  # noqa: E731
+    return {
+        "neg": (lambda x: -x, none),
+        "sub": (lambda x: x - other, none),
+        "rsub": (lambda x: 2.0 - x, none),
+        "truediv": (lambda x: x / scalar, lambda x, out: (0, 0, x.size)),
+        "T": (lambda x: x.T, none),
+        "reshape": (lambda x: x.reshape(shape[::-1]), none),
+        "flatten": (lambda x: x.reshape(-1), none),
+        "sum": (lambda x: x.sum(axis=axis, keepdims=keepdims), none),
+        "mean": (lambda x: x.mean(axis=axis), lambda x, out: (0, 0, out.size)),
+        "exp": (lambda x: x.exp(), lambda x, out: (0, x.size, 0)),
+        "log": (lambda x: x.log(), lambda x, out: (0, x.size, 0)),
+        "sigmoid": (lambda x: x.sigmoid(), lambda x, out: (0, x.size, x.size)),
+        "relu": (lambda x: x.relu(), none),
+        "abs": (lambda x: x.abs(), none),
+        "reciprocal": (lambda x: x.reciprocal(), lambda x, out: (0, 0, x.size)),
+        "softmax": (lambda x: x.softmax(axis=last), lambda x, out: (0, x.size, x.size)),
+        "take_rows": (lambda x: x.take_rows(rows), none),
+        "take_rows_oob": (lambda x: x.take_rows(edge, oob_zero=True), none),
+    }
+
+
+UNARY_OP_NAMES = tuple(_unary_ops((2, 2), None, False, Rng(0)))
+
+
+@st.composite
+def unary_cases(draw):
+    """An op, a shape it accepts, an axis (None or one of the shape's),
+    keepdims and a seed."""
+    name = draw(st.sampled_from(UNARY_OP_NAMES))
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=2 if name == "T" else 1,
+                                max_size=3)))
+    axis = draw(st.none() | st.integers(0, len(shape) - 1))
+    return name, shape, axis, draw(st.booleans()), Rng(draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(unary_cases())
+def test_every_single_input_op_passes_finite_difference_and_keeps_its_counts(case):
+    name, shape, axis, keepdims, rng = case
+    op, expected = _unary_ops(shape, axis, keepdims, rng)[name]
+    # magnitudes 0.5..1.5 keep relu and abs off their kinks and log's input
+    # positive; the probe keeps every gradient entry away from zero
+    sign = 1.0 if name == "log" else np.where(rng.uniform(0, 1, shape) < 0.5, -1.0, 1.0)
+    x = Tensor(sign * rng.uniform(0.5, 1.5, shape), requires_grad=True)
+    with counting() as got:
+        out = op(x)
+    assert (got.macs, got.exps, got.divs) == expected(x, out)
+    probe = rng.uniform(0.5, 1.5, out.shape)
+    if name == "softmax":
+        # s * (p - <s, p>) can come near zero, where central differences
+        # lose their relative accuracy; a one-entry slice is exactly zero
+        last = -1 if axis is None else axis
+        grad = out.data * (probe - (out.data * probe).sum(axis=last, keepdims=True))
+        assume(shape[last] == 1 or (np.abs(grad) > 1e-3).all())
+    assert finite_diff_check(lambda: op(x) * Tensor(probe), [x]) <= 1e-6
