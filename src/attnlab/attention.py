@@ -25,7 +25,7 @@ from operator import add
 import numpy as np
 
 from .errors import ContractViolation, ShapeMismatch, positive_int
-from .relpos import DEFAULT_BASE, cells, encode, flat_index
+from .relpos import cells, encode, flat_index
 from .tensor import Rng, Tensor, gather_dot, rows_per_sample
 
 
@@ -133,7 +133,7 @@ class OffsetMap:
         return self.table.shape[1]
 
 
-def offset_map(q_extent, k_extent, enc_dim, base=DEFAULT_BASE, clip=None):
+def offset_map(q_extent, k_extent, enc_dim, clip=None):
     """Offsets k - q from each cell of a row-major query extent to each
     cell of a key extent of the same rank (an int extent is a sequence).
     The table encodes every offset in the box the pairs realize, row-major,
@@ -146,20 +146,20 @@ def offset_map(q_extent, k_extent, enc_dim, base=DEFAULT_BASE, clip=None):
     axes = [kc[None, :] - qc[:, None] for qc, kc in zip(cells(q_extent), cells(k_extent))]
     # along each axis the pairs realize every offset from 1 - n_q to n_k - 1
     box = tuple(n_q + n_k - 1 for n_q, n_k in zip(q_extent, k_extent))
-    table = encode((cells(box) + 1 - np.array(q_extent)[:, None]).T, enc_dim, base, clip)
+    table = encode((cells(box) + 1 - np.array(q_extent)[:, None]).T, enc_dim, clip)
     index = flat_index([a + n_q - 1 for a, n_q in zip(axes, q_extent)], box)
     return OffsetMap(table=table, index=index, ndim=len(box),
                      delta=np.stack(axes, axis=-1) if len(box) > 1 else axes[0])
 
 
-def offset_map_1d(n_q, n_k, enc_dim, base=DEFAULT_BASE, clip=None):
+def offset_map_1d(n_q, n_k, enc_dim, clip=None):
     """Offsets k - q for aligned sequence positions."""
-    return offset_map(n_q, n_k, enc_dim, base, clip)
+    return offset_map(n_q, n_k, enc_dim, clip)
 
 
-def offset_map_2d(height, width, enc_dim, base=DEFAULT_BASE, clip=None):
+def offset_map_2d(height, width, enc_dim, clip=None):
     """Offsets (dy, dx) between all cell pairs of a height x width grid."""
-    return offset_map((height, width), (height, width), enc_dim, base, clip)
+    return offset_map((height, width), (height, width), enc_dim, clip)
 
 
 def local_mask(offsets: OffsetMap, window):

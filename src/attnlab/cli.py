@@ -71,10 +71,7 @@ def _cmd_grid(args):
 def _cmd_flops(args):
     try:
         ns = [int(v) for v in args.ns.split(",")]
-        text = emit_table(ns, args.c, args.nk, args.ng, args.m)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+        text = emit_table(ns, args.c, args.nk, args.ng, args.m, out=args.out or None)
     except (OSError, ValueError) as exc:  # ContractViolation is a ValueError
         print(f"flops: {exc}", file=sys.stderr)
         return 2

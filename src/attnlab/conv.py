@@ -15,9 +15,11 @@ predicted from the query's content (a shared 1x1 projection, zero
 initialized, stepped at a tenth of the global learning rate) and reads
 features at the fractional result through the linear interpolation
 kernel g(a, b) = max(0, 1 - |a - b|), multiplied across axes. Reads
-outside the extent return zero. It ends in the regular convolution's
-matmul, so with the predictor at zero it reproduces that convolution bit
-for bit.
+outside the extent return zero. Along an axis the two cells around p
+weigh 1 - f and f, f = p - floor(p): g's values with g's one-sided slope
+at whole cells, whose kink would pin the zero-initialized offsets at zero.
+It ends in the regular convolution's matmul, so with the predictor at
+zero it reproduces that convolution bit for bit.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ def kernel_points(kernel, ndim):
     """Sampling offsets of a centered kernel, row-major, center included."""
     if not positive_int(kernel) or kernel % 2 != 1:
         raise ContractViolation(f"kernel must be an odd positive int, got {kernel!r}")
-    if ndim not in (1, 2):
-        raise ContractViolation(f"ndim must be 1 or 2, got {ndim}")
+    if not (positive_int(ndim) and ndim <= 2):
+        raise ContractViolation(f"ndim must be 1 or 2, got {ndim!r}")
     reach = kernel // 2
     return list(itertools.product(range(-reach, reach + 1), repeat=ndim))
 
@@ -168,9 +170,8 @@ def regular_conv(x, params: ConvParams, extent=None, *, batch=1):
 
 
 def linear_kernel(a, b):
-    """Interpolation kernel g(a, b) = max(0, 1 - |a - b|) on tensors."""
-    diff = a - b
-    return (1.0 - diff.abs()).relu() if isinstance(diff, Tensor) else np.maximum(0.0, 1.0 - np.abs(diff))
+    """Interpolation kernel g(a, b) = max(0, 1 - |a - b|) on numbers or arrays."""
+    return np.maximum(0.0, 1.0 - np.abs(np.subtract(a, b)))
 
 
 def _interpolate(x, positions, extent, first):
@@ -178,12 +179,13 @@ def _interpolate(x, positions, extent, first):
     per axis, each within its own sample's extent.
 
     Each read sums the 2**ndim surrounding cells, weighted by the product
-    of the per-axis linear kernels; cells outside the extent read zero.
+    of the per-axis linear kernels (1 - f, f) of the fraction f past the
+    lower cell; cells outside the extent read zero.
     ``first`` is the (batch * n, 1) row where each row's sample starts.
     """
     lows = [np.floor(pos.data) for pos in positions]
-    kernels = [(linear_kernel(pos, Tensor(lo)), linear_kernel(pos, Tensor(lo + 1.0)))
-               for pos, lo in zip(positions, lows)]
+    fracs = [pos - Tensor(lo) for pos, lo in zip(positions, lows)]
+    kernels = [(1.0 - frac, frac) for frac in fracs]
     sampled = []
     for corner in itertools.product((0, 1), repeat=len(extent)):
         idx = flat_index([(lo + bit).astype(np.int64) for lo, bit in zip(lows, corner)],

@@ -1,4 +1,4 @@
-"""Error types shared across the package, and the size check they guard."""
+"""Error types shared across the package, and the size checks they guard."""
 
 import numbers
 
@@ -22,3 +22,10 @@ class NumericFault(ArithmeticError):
 def positive_int(value):
     """Whether ``value`` is an int above zero; a bool does not count."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value > 0
+
+
+def check_sizes(**sizes):
+    """Raise ContractViolation naming every size that is not a positive int."""
+    bad = [f"{name}={value!r}" for name, value in sizes.items() if not positive_int(value)]
+    if bad:
+        raise ContractViolation(f"sizes must be positive ints: {', '.join(bad)}")

@@ -22,7 +22,7 @@ import csv
 import io
 import math
 
-from .errors import ContractViolation, positive_int
+from .errors import ContractViolation, check_sizes, positive_int
 
 TERMS = ("query_key", "query_pos", "key_only", "pos_only")
 
@@ -49,10 +49,12 @@ def _energy_parts(gates, n_q, n_k, c, m, enc_dim=None, n_offsets=None):
     (m * head_dim = c). The offset table defaults to the n_q + n_k - 1
     rows of ``offset_map_1d(n_q, n_k)``.
     """
-    if not (positive_int(c) and positive_int(m)) or c % m != 0:
-        raise ContractViolation(f"heads ({m!r}) must be a positive int dividing channels ({c!r})")
+    check_sizes(n_q=n_q, n_k=n_k, C=c, M=m)
     enc_dim = c if enc_dim is None else enc_dim
     n_offsets = n_q + n_k - 1 if n_offsets is None else n_offsets
+    check_sizes(enc_dim=enc_dim, n_offsets=n_offsets)
+    if c % m != 0:
+        raise ContractViolation(f"heads ({m!r}) must divide channels ({c!r})")
     g_qk, g_qp, g_ko, g_po = gates
     embed = ((g_qk or g_qp) * n_q * c * c + (g_qk or g_ko) * n_k * c * c
              + (g_qp or g_po) * n_offsets * enc_dim * c)
@@ -105,6 +107,7 @@ def shared_savings(gates, n_s, c, m, enc_dim=None, n_offsets=None):
 def count_regular(n_s, n_k, c_in, c_out=None):
     """Regular convolution through the attention path: pure aggregation."""
     c_out = c_in if c_out is None else c_out
+    check_sizes(N_s=n_s, N_k=n_k, c_in=c_in, c_out=c_out)
     return n_s * n_k * c_in * c_out
 
 
@@ -115,9 +118,10 @@ def count_deformable(n_s, n_k, c_in, c_out=None, ndim=2):
     ndim per-axis kernels (ndim - 1 multiplies each) and every read is
     scaled channel by channel.
     """
-    if ndim not in (1, 2):
-        raise ContractViolation(f"ndim must be 1 or 2, got {ndim}")
+    if not (positive_int(ndim) and ndim <= 2):
+        raise ContractViolation(f"ndim must be 1 or 2, got {ndim!r}")
     c_out = c_in if c_out is None else c_out
+    check_sizes(N_s=n_s, N_k=n_k, c_in=c_in, c_out=c_out)
     corners = 2 ** ndim
     predict = n_s * c_in * ndim * n_k
     interp = corners * (ndim - 1) * n_s * n_k + corners * n_s * n_k * c_in
@@ -131,10 +135,10 @@ def count_dynamic(n_s, n_k, c_in, n_g, c_out=None):
     Returns (macs, exps, divs). Only the n_s*c*n_g*n_k predictor block
     scales with the group count.
     """
-    if not (positive_int(c_in) and positive_int(n_g)) or c_in % n_g != 0:
-        raise ContractViolation(f"groups ({n_g!r}) must be a positive int dividing "
-                                f"channels ({c_in!r})")
     c_out = c_in if c_out is None else c_out
+    check_sizes(N_s=n_s, N_k=n_k, c_in=c_in, N_g=n_g, c_out=c_out)
+    if c_in % n_g != 0:
+        raise ContractViolation(f"groups ({n_g!r}) must divide channels ({c_in!r})")
     glu = 2 * n_s * c_in * c_in + n_s * c_in
     predict = n_s * c_in * n_g * n_k
     mix = n_s * n_k * c_in
@@ -182,9 +186,6 @@ def table_rows(ns_list, c, n_k, n_g, m):
     Four attention-term rows (dense, global) and the three convolution
     mechanisms, one block per sequence length.
     """
-    if not all(map(positive_int, (*ns_list, c, n_k, n_g, m))):
-        raise ContractViolation(f"sizes must be positive ints, got N_s={ns_list}, C={c}, "
-                                f"N_k={n_k}, N_g={n_g}, M={m}")
     rows = []
     for n_s in ns_list:
         for term in TERMS:

@@ -23,7 +23,7 @@ from .errors import (
     NumericFault,
     ShapeMismatch,
 )
-from .models import build_model, count_forward
+from .models import FAMILIES, build_model, count_forward
 from .tasks import TASK_MAKERS, make_task
 from .train import evaluate, train_model
 
@@ -38,11 +38,7 @@ TRAINING_DEFAULTS = {
     "windowed-denoise": {"steps": 300, "batch_size": 8, "lr": 0.1},
 }
 
-DEFAULT_STACK = {
-    "permuted-copy": "transformer",
-    "salient-detection": "attended-block",
-    "windowed-denoise": "transformer",
-}
+DEFAULT_STACK = {kind: f.stacks[0] for kind, f in FAMILIES.items()}
 
 ALL_BETAS = tuple(format(i, "04b") for i in range(16))
 
@@ -188,14 +184,14 @@ def default_grid(task, seed=0, betas=ALL_BETAS, **overrides):
     """The standard row set for one task.
 
     All beta switch settings on the base stack; for self-attention tasks
-    also the deformable-backbone rows at the two betas the cost story
-    compares, plus the dynamic-conv row. A ``stack`` override gives only
-    the beta rows, on that stack.
+    (those whose family takes dynamic conv) also the deformable rows at
+    the two betas the cost story compares, plus the dynamic-conv row. A
+    ``stack`` override gives only the beta rows, on that stack.
     """
     base = DEFAULT_STACK[task]
     configs = [RunConfig(task=task, beta=b, seed=seed, **overrides)
                for b in betas]
-    if task != "permuted-copy" and overrides.get("stack") is None:
+    if base + "+dynamic" in FAMILIES[task].stacks and overrides.get("stack") is None:
         for b in ("0010", "1111"):
             configs.append(RunConfig(task=task, beta=b, seed=seed,
                                      stack=base + "+deformable", **overrides))

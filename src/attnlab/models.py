@@ -1,6 +1,8 @@
 """Small models wiring the mechanisms to the synthetic tasks.
 
-Two families, matched to the task geometry:
+``FAMILIES`` maps each task kind to its model family; a family lists the
+stacks it takes in ``stacks``, default first. The stacks come in two
+kinds, matched to the task geometry:
 
 attended-block (grids)
     regular 3x3 conv backbone, then a gated-attention residual with a
@@ -37,16 +39,6 @@ from .dynconv import DynamicConvParams, dynamic_conv
 from .errors import ContractViolation
 from .tensor import Rng, Tensor, counting, zeros
 
-# model init draws from rng branches 50+; task sampling owns the low branches
-STACKS = (
-    "attended-block",
-    "attended-block+deformable",
-    "attended-block+dynamic",
-    "transformer",
-    "transformer+deformable",
-    "transformer+dynamic",
-)
-
 
 def cross_entropy(logits, labels):
     """Mean negative log likelihood of integer labels under row softmax.
@@ -82,11 +74,14 @@ class _Model:
     forward of a list of samples stacked along the rows; its ``__init__``
     lists the trainable tensors in ``self.parts``, in a fixed order, since
     gradient clipping sums squared norms in parameter order. The
-    per-sample methods are the batch of one."""
+    per-sample methods are the batch of one. A family also names its
+    ``stacks`` and is built as ``(task, beta, seed, extra, heads, window,
+    n_groups)``, where ``extra`` is the stack's "+" suffix ("" if none)."""
 
     def __init__(self, task, seed):
         c = task.channels
         self.task = task
+        # model init draws from rng branches 50+; task sampling owns the low ones
         self.rng = Rng(seed)
         self.head_w = self.rng.child(53).param((c, task.vocab), fan_in=c)
         self.head_b = zeros((1, task.vocab), requires_grad=True)
@@ -136,14 +131,12 @@ class _Model:
         self.mask = None if window is None else local_mask(self.offsets, window)
         return self.attn.parameters()
 
-    def _core(self, core, beta, heads, window, n_groups):
-        """Set up a residual self-attention or a zero-gated dynamic conv
-        over ``self.extent``; its trainable tensors."""
-        self.core = core
-        if core == "attention":
+    def _core(self, extra, beta, heads, window, n_groups):
+        """Set up a residual self-attention, or for the "dynamic" stack a
+        zero-gated dynamic conv, over ``self.extent``; its trainable tensors."""
+        self.dyn = None
+        if extra != "dynamic":
             return self._attention(beta, heads, window, self.extent, self.extent)
-        if core != "dynamic":
-            raise ContractViolation(f"unknown core {core!r}")
         c = self.task.channels
         self.dyn = DynamicConvParams(c, c, kernel=3, n_groups=n_groups,
                                      rng=self.rng.child(52), ndim=len(self.extent))
@@ -151,17 +144,17 @@ class _Model:
         return self.dyn.parameters() + [self.dyn_scale]
 
     def _apply_core(self, h, batch):
-        if self.core == "attention":
+        if self.dyn is None:
             return attention_forward(h, h, self.attn, self.config,
                                      offsets=self.offsets, mask=self.mask,
                                      residual=True, batch=batch)
         return h + dynamic_conv(h, self.dyn, self.extent, batch=batch) * self.dyn_scale
 
-    def _deform_unit(self, deformable):
-        """Set up a zero-gated deformable residual on the input sequence,
-        if asked for; its trainable tensors."""
+    def _deform_unit(self, extra):
+        """Set up a zero-gated deformable residual on the input sequence
+        for the "deformable" stack; its trainable tensors."""
         self.deform = None
-        if not deformable:
+        if extra != "deformable":
             return []
         c = self.task.channels
         self.deform = ConvParams(c, c, kernel=3, ndim=1, rng=self.rng.child(51),
@@ -176,12 +169,17 @@ class _Model:
 
 
 class RetrievalModel(_Model):
-    """Permuted-copy: one cross-attention read, then classify the result."""
+    """Permuted-copy: one cross-attention read, then classify the result.
 
-    def __init__(self, task, beta, seed, heads=2, deformable=False, window=None):
+    Dynamic conv is a local self-mechanism, so it cannot take the
+    cross-attention read; this family has no "+dynamic" stack."""
+
+    stacks = ("transformer", "transformer+deformable")
+
+    def __init__(self, task, beta, seed, extra, heads, window, n_groups):
         super().__init__(task, seed)
         self.parts = (self._attention(beta, heads, window, 1, task.extent)
-                      + [self.head_w, self.head_b] + self._deform_unit(deformable))
+                      + [self.head_w, self.head_b] + self._deform_unit(extra))
 
     def batch_logits(self, samples):
         batch = len(samples)
@@ -195,15 +193,16 @@ class RetrievalModel(_Model):
 class GridClassifier(_Model):
     """Salient-detection: conv backbone, attention residual, pooled read-out."""
 
-    def __init__(self, task, beta, seed, heads=2, backbone="regular",
-                 core="attention", window=None, n_groups=4):
+    stacks = ("attended-block", "attended-block+deformable", "attended-block+dynamic")
+
+    def __init__(self, task, beta, seed, extra, heads, window, n_groups):
         super().__init__(task, seed)
         c = task.channels
         self.extent = tuple(task.extent)
         self.backbone = ConvParams(c, c, kernel=3, ndim=2, rng=self.rng.child(51),
-                                   deformable=(backbone == "deformable"))
+                                   deformable=(extra == "deformable"))
         self.parts = (self.backbone.parameters() + [self.head_w, self.head_b]
-                      + self._core(core, beta, heads, window, n_groups))
+                      + self._core(extra, beta, heads, window, n_groups))
 
     def batch_logits(self, samples):
         batch = len(samples)
@@ -218,17 +217,26 @@ class GridClassifier(_Model):
 class DenoiseModel(_Model):
     """Windowed-denoise: per-position residual attention or dynamic conv."""
 
-    def __init__(self, task, beta, seed, heads=2, core="attention",
-                 deformable=False, window=None, n_groups=4):
+    stacks = ("transformer", "transformer+deformable", "transformer+dynamic")
+
+    def __init__(self, task, beta, seed, extra, heads, window, n_groups):
         super().__init__(task, seed)
         self.extent = (task.extent,)
-        self.parts = ([self.head_w, self.head_b] + self._deform_unit(deformable)
-                      + self._core(core, beta, heads, window, n_groups))
+        self.parts = ([self.head_w, self.head_b] + self._deform_unit(extra)
+                      + self._core(extra, beta, heads, window, n_groups))
 
     def batch_logits(self, samples):
         batch = len(samples)
         x = self._deformed(_stacked(samples, "inputs"), batch)
         return self._classify(self._apply_core(x, batch))
+
+
+FAMILIES = {
+    "salient-detection": GridClassifier,
+    "windowed-denoise": DenoiseModel,
+    "permuted-copy": RetrievalModel,
+}
+STACKS = tuple(dict.fromkeys(s for f in FAMILIES.values() for s in f.stacks))
 
 
 def count_forward(model, sample):
@@ -239,31 +247,12 @@ def count_forward(model, sample):
 
 
 def build_model(task, stack, beta, seed, heads=2, window=None, n_groups=4):
-    """Assemble the model for one (task, stack) cell of the ablation grid."""
-    if stack not in STACKS:
-        raise ContractViolation(f"unknown stack {stack!r}")
-    base, _, extra = stack.partition("+")
-    if task.kind == "salient-detection":
-        if base != "attended-block":
-            raise ContractViolation("grid tasks use the attended-block stacks")
-        return GridClassifier(
-            task, beta, seed, heads=heads, window=window, n_groups=n_groups,
-            backbone="deformable" if extra == "deformable" else "regular",
-            core="dynamic" if extra == "dynamic" else "attention",
-        )
-    if base != "transformer":
-        raise ContractViolation("sequence tasks use the transformer stacks")
-    if task.kind == "permuted-copy":
-        if extra == "dynamic":
-            raise ContractViolation(
-                "dynamic conv is a local self-mechanism; it cannot take the "
-                "cross-attention slot of permuted-copy")
-        return RetrievalModel(task, beta, seed, heads=heads, window=window,
-                              deformable=(extra == "deformable"))
-    if task.kind == "windowed-denoise":
-        return DenoiseModel(
-            task, beta, seed, heads=heads, window=window, n_groups=n_groups,
-            deformable=(extra == "deformable"),
-            core="dynamic" if extra == "dynamic" else "attention",
-        )
-    raise ContractViolation(f"no model family for task kind {task.kind!r}")
+    """Assemble the model for one (task, stack) cell of the ablation grid:
+    the task kind's family, built with the stack's "+" suffix."""
+    family = FAMILIES.get(task.kind)
+    if family is None:
+        raise ContractViolation(f"no model family for task kind {task.kind!r}")
+    if stack not in family.stacks:
+        raise ContractViolation(f"{task.kind} takes the stacks {', '.join(family.stacks)}; "
+                                f"got {stack!r}")
+    return family(task, beta, seed, stack.partition("+")[2], heads, window, n_groups)

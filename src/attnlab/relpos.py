@@ -5,7 +5,8 @@ coordinates and ``flat_index`` maps coordinates back to rows.
 
 Offsets are embedded with interleaved sine/cosine channels across a
 geometric frequency ladder, the usual fixed encoding. Entry 2i holds
-sin(d / base^(2i/dim)) and entry 2i+1 the matching cosine. Offsets are
+sin(d / base^(2i/dim)), base = ``DEFAULT_BASE``, and entry 2i+1 the
+matching cosine. Offsets are
 clipped to a maximum magnitude first, so far-apart pairs share the
 encoding of the clip boundary. An offset of rank r concatenates one
 encoding per axis, so its dimension must be divisible by 2r.
@@ -35,7 +36,7 @@ def flat_index(coords, extent, first=0):
     return np.where(inside, flat + first, -1)
 
 
-def encode(offsets, dim, base=DEFAULT_BASE, clip=None, ndim=None):
+def encode(offsets, dim, clip=None, ndim=None):
     """Encode (..., r) integer offsets as (..., dim) sinusoid features,
     dim // r channels per axis; ``ndim``, if given, is the r required."""
     d = np.asarray(offsets, dtype=np.float64)
@@ -46,15 +47,15 @@ def encode(offsets, dim, base=DEFAULT_BASE, clip=None, ndim=None):
     if clip is not None:
         d = np.clip(d, -clip, clip)
     per_axis = dim // rank
-    angles = d[..., None] / base ** (np.arange(0, per_axis, 2) / per_axis)
+    angles = d[..., None] / DEFAULT_BASE ** (np.arange(0, per_axis, 2) / per_axis)
     return np.stack([np.sin(angles), np.cos(angles)], axis=-1).reshape(d.shape[:-1] + (dim,))
 
 
-def encode_1d(offsets, dim, base=DEFAULT_BASE, clip=None):
+def encode_1d(offsets, dim, clip=None):
     """Encode integer offsets as (n, dim) sinusoid features."""
-    return encode(np.expand_dims(offsets, -1), dim, base, clip)
+    return encode(np.expand_dims(offsets, -1), dim, clip)
 
 
-def encode_2d(offsets, dim, base=DEFAULT_BASE, clip=None):
+def encode_2d(offsets, dim, clip=None):
     """Encode (dy, dx) offsets; each axis gets half the channels."""
-    return encode(offsets, dim, base, clip, ndim=2)
+    return encode(offsets, dim, clip, ndim=2)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolation, positive_int
+from .errors import ContractViolation, check_sizes, positive_int
 from .tensor import Rng
 
 
@@ -166,16 +166,9 @@ def _draw_denoise(task, rng):
 # -- constructors ---------------------------------------------------------------
 
 
-def _check_sizes(**sizes):
-    """Raise ContractViolation naming every size that is not a positive int."""
-    bad = [f"{name}={value!r}" for name, value in sizes.items() if not positive_int(value)]
-    if bad:
-        raise ContractViolation(f"sizes must be positive ints: {', '.join(bad)}")
-
-
 def make_permuted_copy_task(seed, vocab=8, length=6, channels=16,
                             eval_size=300):
-    _check_sizes(vocab=vocab, length=length, channels=channels)
+    check_sizes(vocab=vocab, length=length, channels=channels)
     if vocab < 4 or length < 4:
         raise ContractViolation("permuted-copy needs vocab >= 4 and length >= 4")
     if length > vocab:
@@ -192,7 +185,7 @@ def make_salient_detection_task(seed, extent=(6, 6), classes=4, channels=16,
     if not isinstance(extent, (tuple, list)) or len(extent) != 2:
         raise ContractViolation(f"extent must be (height, width), got {extent!r}")
     h, w = extent
-    _check_sizes(height=h, width=w, classes=classes, channels=channels,
+    check_sizes(height=h, width=w, classes=classes, channels=channels,
                  n_marked=n_marked)
     if (h * w) % classes != 0:
         raise ContractViolation("class count must divide the cell count")
@@ -208,7 +201,7 @@ def make_salient_detection_task(seed, extent=(6, 6), classes=4, channels=16,
 
 def make_windowed_denoise_task(seed, length=16, vocab=5, channels=16,
                                flip=0.2, eval_size=200):
-    _check_sizes(length=length, vocab=vocab, channels=channels)
+    check_sizes(length=length, vocab=vocab, channels=channels)
     if not (isinstance(flip, numbers.Real) and 0.0 <= flip <= 1.0):
         raise ContractViolation(f"flip must be a probability, got {flip!r}")
     embed = _orthonormal_rows(vocab, channels, Rng(seed).child(9))
