@@ -18,7 +18,7 @@ query-key pair through the fused ``gather_dot`` op.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import reduce
 from operator import add
 
@@ -51,7 +51,7 @@ class AttentionConfig:
     def from_beta(cls, beta, heads=8):
         """Parse a switch string like "0110" (term order: query_key,
         query_pos, key_only, pos_only)."""
-        if len(beta) != 4 or any(ch not in "01" for ch in beta):
+        if not isinstance(beta, str) or len(beta) != 4 or any(ch not in "01" for ch in beta):
             raise ContractViolation(f"switch string must be four 0/1 chars, got {beta!r}")
         gates = tuple(ch == "1" for ch in beta)
         return cls(gates=gates, heads=heads, allow_uniform=not any(gates))
@@ -83,7 +83,6 @@ class AttentionParams:
         self.channels = channels
         self.heads = heads
         self.head_dim = channels // heads
-        self.enc_dim = enc_dim
         d, c, p = self.head_dim, channels, enc_dim
         self.query_embed = [rng.param((d, c), fan_in=c) for _ in range(heads)]
         self.key_embed_ = [rng.param((d, c), fan_in=c) for _ in range(heads)]
@@ -116,29 +115,29 @@ class OffsetMap:
 
     ``table`` holds the sinusoid encoding of every realizable offset,
     ``index`` maps a (query, key) pair to its table row, and ``delta``
-    keeps the raw integer offsets for building region masks.
+    keeps the raw integer offsets for building region masks: (n_q, n_k)
+    for sequences, else (n_q, n_k, ndim).
     """
 
     table: np.ndarray
     index: np.ndarray
     delta: np.ndarray
-    ndim: int = field(default=1)
+
+    @property
+    def ndim(self):
+        """Rank of the extents, read from the shape of ``delta``."""
+        return 1 if self.delta.ndim == 2 else self.delta.shape[-1]
 
     @property
     def n_offsets(self):
         return self.table.shape[0]
-
-    @property
-    def enc_dim(self):
-        return self.table.shape[1]
 
 
 def offset_map(q_extent, k_extent, enc_dim, clip=None):
     """Offsets k - q from each cell of a row-major query extent to each
     cell of a key extent of the same rank (an int extent is a sequence).
     The table encodes every offset in the box the pairs realize, row-major,
-    and ``index`` flattens each pair's offset in that box. ``delta`` is
-    (n_q, n_k) for sequences, else (n_q, n_k, ndim)."""
+    and ``index`` flattens each pair's offset in that box."""
     q_extent, k_extent = (tuple(np.atleast_1d(e).tolist()) for e in (q_extent, k_extent))
     sizes = q_extent + k_extent
     if not q_extent or len(q_extent) != len(k_extent) or not all(map(positive_int, sizes)):
@@ -148,7 +147,7 @@ def offset_map(q_extent, k_extent, enc_dim, clip=None):
     box = tuple(n_q + n_k - 1 for n_q, n_k in zip(q_extent, k_extent))
     table = encode((cells(box) + 1 - np.array(q_extent)[:, None]).T, enc_dim, clip)
     index = flat_index([a + n_q - 1 for a, n_q in zip(axes, q_extent)], box)
-    return OffsetMap(table=table, index=index, ndim=len(box),
+    return OffsetMap(table=table, index=index,
                      delta=np.stack(axes, axis=-1) if len(box) > 1 else axes[0])
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from .checks import run_checks
 from .errors import ContractViolation
@@ -55,12 +56,15 @@ def _cmd_grid(args):
     if not configs:
         print("grid: no run configs to run", file=sys.stderr)
         return 2
-    task = configs[0].task
-    records = run_grid(task, configs)
-    if args.out:
-        emit_results(records, path=args.out)
-    else:
-        sys.stdout.write(emit_results(records))
+    # open --out first: an unwritable path must not cost a whole grid
+    try:
+        out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    except OSError as exc:
+        print(f"grid: {args.out}: {exc}", file=sys.stderr)
+        return 2
+    with out as fh:
+        records = run_grid(configs[0].task, configs)
+        emit_results(records, path=fh)
     failures = [r for r in records if r.failed]
     for r in failures:
         print(f"failed: {r.task} {r.stack} {r.beta}: {r.error}",

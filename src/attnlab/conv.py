@@ -58,7 +58,6 @@ class ConvParams:
             raise ContractViolation(f"channels ({c_in!r}, {c_out!r}) must be positive ints")
         self.c_in = c_in
         self.c_out = c_out
-        self.kernel = kernel
         self.ndim = ndim
         self.points = tuple(kernel_points(kernel, ndim))
         k = len(self.points)
@@ -76,13 +75,13 @@ class ConvParams:
         """Per-point (c_out, c_in) kernels: read-only views of ``weight``."""
         blocks = self.weight.data.reshape(-1, self.c_in, self.c_out).transpose(0, 2, 1)
         blocks.flags.writeable = False
-        return [Tensor(block, lr_scale=self.weight.lr_scale) for block in blocks]
+        return [Tensor(block) for block in blocks]
 
     def parameters(self):
         return [self.weight] + ([] if self.offset_w is None else [self.offset_w])
 
 
-def check_layout(x, params, extent=None, deformable=False, batch=1):
+def check_layout(x, params, extent=None, batch=1):
     """The extent tuple of one sample of x, checked against conv or
     dynamic conv params; x stacks ``batch`` samples along its rows.
 
@@ -96,8 +95,6 @@ def check_layout(x, params, extent=None, deformable=False, batch=1):
                                 f"were built for ndim={params.ndim}")
     if not all(map(positive_int, extent)):
         raise ContractViolation(f"extent {extent} is not all positive ints")
-    if deformable and params.offset_w is None:
-        raise ContractViolation("params carry no offset predictor; build with deformable=True")
     n = math.prod(extent) * batch
     if x.shape[0] != n:
         raise ShapeMismatch(f"input has {x.shape[0]} cells, extent {extent} and batch "
@@ -198,7 +195,9 @@ def _interpolate(x, positions, extent, first):
 def deformable_conv(x, params: ConvParams, extent=None, *, batch=1):
     """Deformable convolution; x is (batch * n, c_in), laid out as in
     regular_conv."""
-    extent = check_layout(x, params, extent, deformable=True, batch=batch)
+    extent = check_layout(x, params, extent, batch=batch)
+    if params.offset_w is None:
+        raise ContractViolation("params carry no offset predictor; build with deformable=True")
     ndim = len(extent)
     rows, k = x.shape[0], len(params.points)
     # column ndim * m + axis displaces point m along that axis

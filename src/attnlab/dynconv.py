@@ -42,8 +42,6 @@ class DynamicConvParams:
         if c_in % n_groups != 0:
             raise ShapeMismatch(f"groups ({n_groups}) must divide channels ({c_in})")
         self.c_in = c_in
-        self.c_out = c_out
-        self.kernel = kernel
         self.n_groups = n_groups
         self.ndim = ndim
         self.points = tuple(kernel_points(kernel, ndim))

@@ -22,6 +22,7 @@ import csv
 import io
 import math
 
+from .attention import AttentionConfig
 from .errors import ContractViolation, check_sizes, positive_int
 
 TERMS = ("query_key", "query_pos", "key_only", "pos_only")
@@ -55,7 +56,7 @@ def _energy_parts(gates, n_q, n_k, c, m, enc_dim=None, n_offsets=None):
     check_sizes(enc_dim=enc_dim, n_offsets=n_offsets)
     if c % m != 0:
         raise ContractViolation(f"heads ({m!r}) must divide channels ({c!r})")
-    g_qk, g_qp, g_ko, g_po = gates
+    g_qk, g_qp, g_ko, g_po = AttentionConfig(tuple(gates), allow_uniform=True).gates
     embed = ((g_qk or g_qp) * n_q * c * c + (g_qk or g_ko) * n_k * c * c
              + (g_qp or g_po) * n_offsets * enc_dim * c)
     pairwise = sum((g_qk, g_qp, g_po)) * n_q * n_k * c
@@ -147,17 +148,16 @@ def count_dynamic(n_s, n_k, c_in, n_g, c_out=None):
     return glu + predict + mix + point, exps, exps
 
 
-def count_mechanism(mechanism, n_s, c, n_k=None, n_g=None, m=None, beta=None, ndim=None):
+def count_mechanism(mechanism, n_s, c, n_k=None, n_g=None, m=None, beta=None):
     """Closed-form MACs for a whole mechanism at self-attention shape."""
     if mechanism == "transformer":
         if beta is None or m is None:
             raise ContractViolation("transformer counts need beta and m")
-        gates = tuple(ch == "1" for ch in beta)
-        return count_attention(gates, n_s, n_s, c, m)[0]
+        return count_attention(AttentionConfig.from_beta(beta).gates, n_s, n_s, c, m)[0]
     if mechanism == "regular":
         return count_regular(n_s, n_k, c)
     if mechanism == "deformable":
-        return count_deformable(n_s, n_k, c, ndim=2 if ndim is None else ndim)
+        return count_deformable(n_s, n_k, c)
     if mechanism == "dynamic":
         return count_dynamic(n_s, n_k, c, n_g)[0]
     raise ContractViolation(f"unknown mechanism {mechanism!r}")

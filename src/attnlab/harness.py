@@ -169,10 +169,8 @@ def train(config: RunConfig) -> ResultRecord:
                         seed=seed, error=error)
 
 
-def run_grid(task, configs=None, seed=0) -> list:
+def run_grid(task, configs) -> list:
     """Run every cell of a task's grid; failures become rows, never aborts."""
-    if configs is None:
-        configs = default_grid(task, seed=seed)
     for c in configs:
         if c.task != task:
             raise ContractViolation(
@@ -180,7 +178,7 @@ def run_grid(task, configs=None, seed=0) -> list:
     return [train(c) for c in configs]
 
 
-def default_grid(task, seed=0, betas=ALL_BETAS, **overrides):
+def default_grid(task, seed=0, **overrides):
     """The standard row set for one task.
 
     All beta switch settings on the base stack; for self-attention tasks
@@ -188,9 +186,10 @@ def default_grid(task, seed=0, betas=ALL_BETAS, **overrides):
     the two betas the cost story compares, plus the dynamic-conv row. A
     ``stack`` override gives only the beta rows, on that stack.
     """
+    if not isinstance(task, str) or task not in DEFAULT_STACK:
+        raise ContractViolation(f"no default grid for task {task!r}")
     base = DEFAULT_STACK[task]
-    configs = [RunConfig(task=task, beta=b, seed=seed, **overrides)
-               for b in betas]
+    configs = [RunConfig(task=task, beta=b, seed=seed, **overrides) for b in ALL_BETAS]
     if base + "+dynamic" in FAMILIES[task].stacks and overrides.get("stack") is None:
         for b in ("0010", "1111"):
             configs.append(RunConfig(task=task, beta=b, seed=seed,

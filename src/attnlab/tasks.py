@@ -47,7 +47,8 @@ def _orthonormal_rows(n, dim, rng: Rng):
 
 @dataclass
 class ToyTask:
-    """One synthetic task instance plus its sampling state."""
+    """One synthetic task instance, its maker's sampler ``draw(task, rng)``
+    and its sampling state."""
 
     kind: str
     vocab: int
@@ -56,6 +57,7 @@ class ToyTask:
     seed: int
     eval_size: int
     embed: np.ndarray = field(repr=False)
+    draw: object = field(repr=False)
     n_marked: int = 0
     flip: float = 0.0
 
@@ -68,20 +70,11 @@ class ToyTask:
 
     # -- sampling ------------------------------------------------------------
 
-    def _draw(self, rng):
-        if self.kind == "permuted-copy":
-            return _draw_permuted_copy(self, rng)
-        if self.kind == "salient-detection":
-            return _draw_salient(self, rng)
-        if self.kind == "windowed-denoise":
-            return _draw_denoise(self, rng)
-        raise ContractViolation(f"unknown task kind {self.kind!r}")
-
     def eval_set(self):
         """The held-out samples; built once, bit-stable thereafter."""
         if self._eval is None:
             rng = self._rng.child(0)
-            self._eval = [self._draw(rng) for _ in range(self.eval_size)]
+            self._eval = [self.draw(self, rng) for _ in range(self.eval_size)]
             self._eval_keys = {s["key"] for s in self._eval}
         return self._eval
 
@@ -91,7 +84,7 @@ class ToyTask:
         rng = self._rng.child(1, step)
         out = []
         while len(out) < batch_size:
-            s = self._draw(rng)
+            s = self.draw(self, rng)
             if s["key"] not in self._eval_keys:
                 out.append(s)
         return out
@@ -176,7 +169,7 @@ def make_permuted_copy_task(seed, vocab=8, length=6, channels=16,
     embed = _orthonormal_rows(vocab, channels, Rng(seed).child(9))
     return ToyTask(
         kind="permuted-copy", vocab=vocab, extent=length, channels=channels,
-        seed=seed, eval_size=eval_size, embed=embed,
+        seed=seed, eval_size=eval_size, embed=embed, draw=_draw_permuted_copy,
     )
 
 
@@ -194,7 +187,7 @@ def make_salient_detection_task(seed, extent=(6, 6), classes=4, channels=16,
     embed = _orthonormal_rows(classes, channels - 1, Rng(seed).child(9))
     return ToyTask(
         kind="salient-detection", vocab=classes, extent=(h, w), channels=channels,
-        seed=seed, eval_size=eval_size, embed=embed,
+        seed=seed, eval_size=eval_size, embed=embed, draw=_draw_salient,
         n_marked=n_marked,
     )
 
@@ -207,7 +200,7 @@ def make_windowed_denoise_task(seed, length=16, vocab=5, channels=16,
     embed = _orthonormal_rows(vocab, channels, Rng(seed).child(9))
     task = ToyTask(
         kind="windowed-denoise", vocab=vocab, extent=length, channels=channels,
-        seed=seed, eval_size=eval_size, embed=embed,
+        seed=seed, eval_size=eval_size, embed=embed, draw=_draw_denoise,
         flip=flip,
     )
     # the eval set can hold all vocab ** length sequences only if there are

@@ -470,19 +470,18 @@ class Rng:
     def choice(self, n, size, replace=False):
         return self._gen.choice(n, size=size, replace=replace)
 
-    def param(self, shape, fan_in, requires_grad=True, lr_scale=1.0):
-        """Fresh parameter, uniform in +-sqrt(1/fan_in)."""
+    def param(self, shape, fan_in):
+        """Fresh trainable parameter, uniform in +-sqrt(1/fan_in)."""
         bound = float(np.sqrt(1.0 / fan_in))
-        data = self._gen.uniform(-bound, bound, shape)
-        return Tensor(data, requires_grad=requires_grad, lr_scale=lr_scale)
+        return Tensor(self._gen.uniform(-bound, bound, shape), requires_grad=True)
 
 
 def zeros(shape, requires_grad=False, lr_scale=1.0):
     return Tensor(np.zeros(shape), requires_grad=requires_grad, lr_scale=lr_scale)
 
 
-def finite_diff_check(f, params, step=1e-5):
-    """Compare tape gradients of ``sum(f())`` against central differences.
+def finite_diff_check(f, params):
+    """Compare tape gradients of ``sum(f())`` against 1e-5 central differences.
 
     ``f`` rebuilds its forward pass from the current ``params`` data on
     every call. Returns the max over parameter entries of
@@ -496,6 +495,7 @@ def finite_diff_check(f, params, step=1e-5):
     scalar = out if out.size == 1 else out.sum()
     scalar.backward()
 
+    step = 1e-5
     worst = 0.0
     for p in params:
         analytic = np.zeros(p.shape) if p.grad is None else p.grad.copy()
