@@ -36,7 +36,7 @@ from .attention import (
 )
 from .conv import ConvParams, deformable_conv, regular_conv
 from .dynconv import DynamicConvParams, dynamic_conv
-from .errors import ContractViolation
+from .errors import ContractViolation, NumericFault
 from .tensor import Rng, Tensor, counting, zeros
 
 
@@ -114,8 +114,12 @@ class _Model:
 
     def batch_accuracy(self, samples):
         """Per sample, the share of its label rows predicted right, from
-        one forward of the whole list."""
-        hits = np.argmax(self.batch_logits(samples).data, axis=-1) == _labels(samples)
+        one forward of the whole list; non-finite logits raise NumericFault
+        rather than score as their argmax."""
+        logits = self.batch_logits(samples).data
+        if not np.isfinite(logits).all():
+            raise NumericFault("logits are non-finite: the forward pass overflowed")
+        hits = np.argmax(logits, axis=-1) == _labels(samples)
         return hits.reshape(len(samples), -1).mean(axis=1)
 
     def parameters(self):

@@ -253,7 +253,8 @@ class Tensor:
         _emit(divs=data.size if data.ndim else 1)
         if axis is None:
             return self._unary(data, lambda g: np.full(self.shape, float(g) / self.size))
-        n = self.shape[axis]
+        axes = axis if isinstance(axis, tuple) else (axis,)
+        n = math.prod(self.shape[i] for i in axes)
         return self._unary(data, lambda g: np.broadcast_to(np.expand_dims(g, axis), self.shape) / n)
 
     # -- pointwise nonlinearities ----------------------------------------------
@@ -349,11 +350,17 @@ class Tensor:
             return
         if g.shape != self.data.shape:
             raise ShapeMismatch(f"gradient of shape {g.shape} for a tensor of shape {self.shape}")
+        # a leaf keeps a private copy, added to in place, because g may be
+        # shared with another parent or be a view and clip_gradients scales
+        # p.grad in place. An op output borrows its first g and adds later
+        # ones out of place; that is safe while no backward closure writes
+        # into its g and backward frees every intermediate gradient after use
         if self.grad is None:
-            # a copy: g may be shared with another parent or be a view
-            self.grad = np.array(g, dtype=np.float64)
-        else:
+            self.grad = np.array(g, dtype=np.float64) if self.requires_grad else g
+        elif self.requires_grad:
             self.grad += g
+        else:
+            self.grad = self.grad + g
 
     def backward(self):
         """Reverse-sweep from a scalar loss, accumulating leaf grads."""
@@ -383,7 +390,8 @@ class Tensor:
                 node.grad = None
 
 
-# query rows whose (rows, n_k, d) gather gather_dot holds at once
+# query rows whose (rows, n_k, d) gather, and whose (rows, n_offsets)
+# share of the backward's per-offset sums, gather_dot holds at once
 GATHER_DOT_ROWS = 32
 
 
@@ -393,13 +401,20 @@ def gather_dot(a, table, index):
     ``a`` is (..., n_q, d), or (..., 1, d) with one row shared by every
     query; leading axes are a batch that shares ``table`` and ``index``.
     ``table`` is (n_offsets, d) and ``index`` an (n_q, n_k) array of
-    table rows. The forward gathers table rows for GATHER_DOT_ROWS
+    table rows. Either way the op is charged ``n_q * n_k * d`` MACs per
+    batch entry, one per pair and channel, as the cost model counts it.
+
+    Per-query rows: the forward gathers table rows for GATHER_DOT_ROWS
     queries at a time, once for the whole batch, and reduces each block
-    with a batched matmul, so it is charged ``n_q * n_k * d`` MACs per
-    batch entry, one per pair and channel, and keeps no (n_q, n_k, d)
-    array. The backward sums each batch entry's output gradient per
-    (row of ``a``, offset) into S with one bincount, then finishes with
-    ``S @ table`` and ``S.T @ a``; S stays (rows, n_offsets).
+    with a batched matmul, so it keeps no (n_q, n_k, d) array. A shared
+    row: the forward dots it with each offset once, a per-offset profile
+    of only ``n_offsets * d`` multiplies, and reads the profile per pair.
+
+    The backward sums each batch entry's output gradient per (row of
+    ``a``, offset) into S, one block of GATHER_DOT_ROWS rows and one
+    bincount at a time, and finishes each block with ``S @ table`` and
+    ``S.T @ a``; S stays cache-sized at (GATHER_DOT_ROWS, n_offsets), or
+    (1, n_offsets) for a shared row.
     """
     if a.ndim < 2 or table.ndim != 2 or a.shape[-1] != table.shape[1]:
         raise ShapeMismatch(f"gather_dot needs (..., n, d) and (n_offsets, d) operands, "
@@ -412,27 +427,39 @@ def gather_dot(a, table, index):
     rows = a.shape[-2]
     if rows not in (1, n_q):
         raise ShapeMismatch(f"gather_dot: {rows} rows of a for {n_q} queries")
-    lead = a.shape[:-2]
-    data = np.empty(lead + (n_q, n_k))
+    if rows == 1:
+        # a broadcasting matmul, so a batch gets the same floats as
+        # per-sample calls (one (L, d) @ table.T GEMM does not)
+        profile = (table.data @ a.data[..., 0, :, None])[..., 0]
+        data = np.take(profile, idx, axis=-1)
+    else:
+        data = np.empty(a.shape[:-2] + (n_q, n_k))
+        for lo in range(0, n_q, GATHER_DOT_ROWS):
+            hi = lo + GATHER_DOT_ROWS
+            # np.take gathers rows about twice as fast as fancy indexing
+            block = np.take(table.data, idx[lo:hi], axis=0)
+            np.matmul(block, a.data[..., lo:hi, :, None], out=data[..., lo:hi, :, None])
     _emit(macs=data.size * d)
-    column = a.data[..., None]
-    for lo in range(0, n_q, GATHER_DOT_ROWS):
-        hi = lo + GATHER_DOT_ROWS
-        # np.take gathers rows about twice as fast as fancy indexing
-        block = np.take(table.data, idx[lo:hi], axis=0)
-        np.matmul(block, column if rows == 1 else column[..., lo:hi, :, :],
-                  out=data[..., lo:hi, :, None])
 
     def backward(g):
-        scatter = (idx if rows == 1 else idx + np.arange(n_q)[:, None] * n_off).ravel()
+        # a shared row is one block of one row
+        step = n_q if rows == 1 else GATHER_DOT_ROWS
         a2 = a.data.reshape(-1, rows, d)
-        g2 = g.reshape(-1, n_q * n_k)
+        g2 = g.reshape(-1, n_q, n_k)
         ga = np.empty(a2.shape)
         gt = np.zeros(table.shape)
-        for b in range(a2.shape[0]):
-            s = np.bincount(scatter, weights=g2[b], minlength=rows * n_off).reshape(rows, n_off)
-            ga[b] = s @ table.data
-            gt += s.T @ a2[b]
+        for lo in range(0, n_q, step):
+            ab = a2[:, lo:lo + step]
+            r = ab.shape[1]
+            # pair (q, k) lands in S at (its row of a in the block, index[q, k])
+            scatter = idx[lo:lo + step]
+            if r > 1:
+                scatter = scatter + np.arange(r)[:, None] * n_off
+            for b in range(len(ab)):
+                s = np.bincount(scatter.ravel(), weights=g2[b, lo:lo + step].ravel(),
+                                minlength=r * n_off).reshape(r, n_off)
+                ga[b, lo:lo + step] = s @ table.data
+                gt += s.T @ ab[b]
         a._accum(ga.reshape(a.shape))
         table._accum(gt)
 

@@ -58,7 +58,7 @@ def train_model(model, task, steps, batch_size=16, lr=0.1, momentum=0.9,
                 clip=None):
     """Run the loop, one forward and one backward of the whole batch per
     step; returns the final loss and raises NumericFault if the loss stops
-    being finite."""
+    being finite or the parameters are not finite after the last step."""
     params = model.parameters()
     opt = Momentum(params, lr=lr, momentum=momentum)
     last = None
@@ -73,6 +73,9 @@ def train_model(model, task, steps, batch_size=16, lr=0.1, momentum=0.9,
             clip_gradients(params, clip)
         opt.step()
         last = float(loss.data)
+    # the last update can overflow after the last finite loss
+    if not all(np.isfinite(p.data).all() for p in params):
+        raise NumericFault(f"parameters became non-finite at step {steps - 1}")
     return last
 
 

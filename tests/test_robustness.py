@@ -20,12 +20,13 @@ from attnlab.attention import (
 )
 from attnlab.conv import ConvParams, deformable_conv, regular_conv
 from attnlab.dynconv import DynamicConvParams, dynamic_conv
-from attnlab.errors import ContractViolation, ShapeMismatch
+from attnlab.errors import ContractViolation, NumericFault, ShapeMismatch
 from attnlab.flops import count_attention, count_dynamic
 from attnlab.harness import RESULT_COLUMNS, RunConfig, emit_results, run_grid, train
 from attnlab.models import build_model
 from attnlab.tasks import make_task
 from attnlab.tensor import Rng, Tensor, gather_dot
+from attnlab.train import train_model
 
 FAST = {"steps": 2, "batch_size": 2}
 
@@ -273,3 +274,36 @@ def test_batch_that_is_not_a_positive_int_is_a_shape_mismatch(batch):
     conv_params = ConvParams(4, 4, 3, ndim=1, rng=Rng(0))
     with pytest.raises(ShapeMismatch, match="batch"):
         regular_conv(x, conv_params, batch=batch)
+
+
+def test_overflowing_last_update_is_a_failed_row():
+    # one step at this rate leaves parameters near 1e298: still finite, but
+    # the eval forward overflows them into NaN logits
+    with np.errstate(all="ignore"):
+        rec = train(RunConfig(task="salient-detection", steps=1, lr=1e300))
+    assert rec.failed and rec.error.startswith("NumericFault")
+    assert math.isnan(rec.accuracy)
+
+
+class _OverflowingModel:
+    """One parameter with a gradient of 1e10: a finite loss whose update
+    at a rate of 1e300 overflows to -inf."""
+
+    def __init__(self):
+        self.w = Tensor(np.ones(1), requires_grad=True)
+
+    def parameters(self):
+        return [self.w]
+
+    def batch_loss(self, batch):
+        return (self.w * 1e10).sum()
+
+
+class _EmptyBatches:
+    def train_batch(self, step, batch_size):
+        return []
+
+
+def test_parameters_left_non_finite_by_the_last_step_raise():
+    with np.errstate(all="ignore"), pytest.raises(NumericFault, match="non-finite at step 0"):
+        train_model(_OverflowingModel(), _EmptyBatches(), steps=1, lr=1e300)

@@ -513,6 +513,64 @@ def test_batched_matmul_gradients_pass_finite_difference(case):
     assert finite_diff_check(lambda: (a @ b.T.T) * probe, [a, b]) <= 1e-6
 
 
+@settings(max_examples=60, deadline=None)
+# past two query blocks, so the backward's per-block sums cross a boundary
+@given(gather_dot_cases(max_q=2 * GATHER_DOT_ROWS + 5), st.integers(1, 3))
+def test_gather_dot_blocked_backward_matches_dense_reference(case, batch):
+    (n_q, n_k, n_offsets, d), shared, index, rng = case
+    rows = 1 if shared else n_q
+    a = Tensor(rng.uniform(-1, 1, (batch, rows, d)), requires_grad=True)
+    table = Tensor(rng.uniform(-1, 1, (n_offsets, d)), requires_grad=True)
+    g = rng.uniform(-1, 1, (batch, n_q, n_k))
+    (gather_dot(a, table, index) * Tensor(g)).sum().backward()
+
+    # ga[b, q] = sum_k g[b, q, k] table[index[q, k]], summed over q when shared
+    want_ga = np.einsum("bqk,qkd->bqd", g, table.data[index])
+    if shared:
+        want_ga = want_ga.sum(axis=1, keepdims=True)
+    # table[index[q, k]] gets sum_b g[b, q, k] a[b, q]
+    want_gt = np.zeros(table.shape)
+    a_rows = np.broadcast_to(a.data, (batch, n_q, d))
+    np.add.at(want_gt, index, np.einsum("bqk,bqd->qkd", g, a_rows))
+    np.testing.assert_allclose(a.grad, want_ga, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(table.grad, want_gt, rtol=0, atol=1e-12)
+
+
+def test_gather_dot_backward_peak_stays_below_one_per_offset_sum():
+    offsets = offset_map_2d(24, 24, 16)
+    n_q, n_k = offsets.index.shape
+    d = 8
+    rng = Rng(29)
+    a = Tensor(rng.uniform(-1, 1, (n_q, d)), requires_grad=True)
+    table = Tensor(rng.uniform(-1, 1, (offsets.n_offsets, d)), requires_grad=True)
+    per_offset_sum = n_q * offsets.n_offsets * 8  # bytes of one (n_q, n_offsets) float64 S
+    tracemalloc.start()
+    try:
+        gather_dot(a, table, offsets.index).sum().backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < per_offset_sum
+
+
+def test_mean_over_a_tuple_of_axes():
+    rng = Rng(31)
+    w = Tensor(rng.uniform(-1, 1, (2, 3, 4)), requires_grad=True)
+    probe = Tensor(rng.uniform(0.5, 1.5, (3,)))
+    with counting() as c:
+        out = w.mean(axis=(0, -1))
+    assert (c.macs, c.exps, c.divs) == (0, 0, 3)
+    np.testing.assert_allclose(out.data, w.data.mean(axis=(0, 2)), rtol=0, atol=1e-15)
+    assert finite_diff_check(lambda: (w.mean(axis=(0, -1)) * probe).sum(), [w]) <= 1e-6
+
+    ones = Tensor(np.ones((2, 3)), requires_grad=True)
+    with counting() as c:
+        whole = ones.mean(axis=(0, 1))
+    assert c.divs == 1 and whole.item() == 1.0
+    whole.backward()
+    np.testing.assert_array_equal(ones.grad, np.full((2, 3), 1 / 6))
+
+
 def test_batched_matmul_rejects_leading_dims_that_do_not_broadcast():
     with pytest.raises(ShapeMismatch):
         Tensor(np.ones((2, 3, 4))) @ Tensor(np.ones((3, 4, 5)))
