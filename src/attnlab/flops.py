@@ -7,13 +7,14 @@ from conformance against the closed forms. Counts cover the forward
 pass only. Building the sinusoid offset table is a one-time setup cost
 and is excluded; projecting it is counted where it happens.
 
-Every closed form here mirrors the factorization the library actually
-executes (embed once, then per-pair work), and the tests require
-instrumented counts to match these formulas with no tolerance. The
-pure positional term is deliberately charged per query-key pair, like
-the implementation computes it: its value depends only on the offset,
-but materializing the pair grid is a genuine traversal and the cost
-model keeps the quadratic portion visible.
+Every closed form here follows the cost model's factorization (embed
+once, then per-pair work), the instrumented ops emit exactly these
+counts, and the tests require the two to match with no tolerance. The
+two positional terms are charged ``n_q * n_k * d`` per query-key pair,
+although ``tensor.gather_dot`` computes them from a per-offset profile
+(``n_q * n_offsets * d`` multiplies for query_pos, ``n_offsets * d`` for
+pos_only) and then reads it per pair: the pair grid is still traversed,
+and the charge keeps the quadratic portion of the cost model visible.
 """
 
 from __future__ import annotations

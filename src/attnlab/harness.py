@@ -22,6 +22,7 @@ from .errors import (
     DegenerateRegion,
     NumericFault,
     ShapeMismatch,
+    positive_int,
 )
 from .models import FAMILIES, build_model, count_forward
 from .tasks import TASK_MAKERS, make_task
@@ -89,13 +90,13 @@ class RunConfig:
                     and set(out.beta) <= {"0", "1"},
             "seed": _at_least(out.seed, 0, numbers.Integral),
             "steps": _at_least(out.steps, 0, numbers.Integral),
-            "batch_size": _at_least(out.batch_size, 1, numbers.Integral),
+            "batch_size": positive_int(out.batch_size),
             "lr": _at_least(out.lr, 0) and out.lr > 0,
             "momentum": _at_least(out.momentum, 0) and out.momentum < 1,
             "clip": out.clip is None or (_at_least(out.clip, 0) and out.clip > 0),
-            "heads": _at_least(out.heads, 1, numbers.Integral),
-            "window": out.window is None or _at_least(out.window, 1, numbers.Integral),
-            "n_groups": _at_least(out.n_groups, 1, numbers.Integral),
+            "heads": positive_int(out.heads),
+            "window": out.window is None or positive_int(out.window),
+            "n_groups": positive_int(out.n_groups),
             "task_options": isinstance(out.task_options, dict)
                             and set(out.task_options) <= options - {"seed"},
         }

@@ -14,6 +14,7 @@ separate buckets. Backward passes emit nothing.
 from __future__ import annotations
 
 import math
+import numbers
 from contextlib import contextmanager
 
 import numpy as np
@@ -154,7 +155,7 @@ class Tensor:
         return self.data.size
 
     def item(self):
-        return float(self.data)
+        return self.data.item()
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -239,23 +240,17 @@ class Tensor:
             shape = shape[0]
         return self._unary(self.data.reshape(shape), lambda g: g.reshape(self.shape))
 
-    # the all-axes backwards fill with np.full, several times faster than
-    # np.broadcast_to on the small arrays a loss reduces
     def sum(self, axis=None, keepdims=False):
         data = self.data.sum(axis=axis, keepdims=keepdims)
-        if axis is None:
-            return self._unary(data, lambda g: np.full(self.shape, g.item()))
         return self._unary(data, lambda g: np.broadcast_to(
-            g if keepdims else np.expand_dims(g, axis), self.shape).copy())
+            g if keepdims or axis is None else np.expand_dims(g, axis), self.shape).copy())
 
     def mean(self, axis=None):
         data = self.data.mean(axis=axis)
-        _emit(divs=data.size if data.ndim else 1)
-        if axis is None:
-            return self._unary(data, lambda g: np.full(self.shape, float(g) / self.size))
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        n = math.prod(self.shape[i] for i in axes)
-        return self._unary(data, lambda g: np.broadcast_to(np.expand_dims(g, axis), self.shape) / n)
+        _emit(divs=data.size)
+        n = self.size // data.size
+        return self._unary(data, lambda g: np.broadcast_to(
+            g if axis is None else np.expand_dims(g, axis), self.shape) / n)
 
     # -- pointwise nonlinearities ----------------------------------------------
 
@@ -390,8 +385,8 @@ class Tensor:
                 node.grad = None
 
 
-# query rows whose (rows, n_k, d) gather, and whose (rows, n_offsets)
-# share of the backward's per-offset sums, gather_dot holds at once
+# query rows whose (rows, n_offsets) profile gather_dot holds at once,
+# in the forward and in the backward's per-offset sums
 GATHER_DOT_ROWS = 32
 
 
@@ -401,20 +396,22 @@ def gather_dot(a, table, index):
     ``a`` is (..., n_q, d), or (..., 1, d) with one row shared by every
     query; leading axes are a batch that shares ``table`` and ``index``.
     ``table`` is (n_offsets, d) and ``index`` an (n_q, n_k) array of
-    table rows. Either way the op is charged ``n_q * n_k * d`` MACs per
-    batch entry, one per pair and channel, as the cost model counts it.
+    table rows.
 
-    Per-query rows: the forward gathers table rows for GATHER_DOT_ROWS
-    queries at a time, once for the whole batch, and reduces each block
-    with a batched matmul, so it keeps no (n_q, n_k, d) array. A shared
-    row: the forward dots it with each offset once, a per-offset profile
-    of only ``n_offsets * d`` multiplies, and reads the profile per pair.
+    Both passes walk the same blocks: GATHER_DOT_ROWS rows of ``a`` at a
+    time, or the shared row as one block of one row. The forward projects
+    each block onto every offset, a (rows, n_offsets) profile
+    ``a_block @ table.T``, and picks pair (q, k) at flat position
+    ``row * n_offsets + index[q, k]``. The backward sums each batch
+    entry's output gradient into those same positions with one bincount
+    per block, giving S, and finishes the block with ``S @ table`` and
+    ``S.T @ a_block``. So neither pass holds an (n_q, n_k, d) gather or
+    a whole (n_q, n_offsets) profile.
 
-    The backward sums each batch entry's output gradient per (row of
-    ``a``, offset) into S, one block of GATHER_DOT_ROWS rows and one
-    bincount at a time, and finishes each block with ``S @ table`` and
-    ``S.T @ a``; S stays cache-sized at (GATHER_DOT_ROWS, n_offsets), or
-    (1, n_offsets) for a shared row.
+    The op is charged ``n_q * n_k * d`` MACs per batch entry, one per
+    pair and channel, as the cost model counts it. That is the per-pair
+    count, not the profile's arithmetic, which is ``n_q * n_offsets * d``
+    multiplies for per-query rows and ``n_offsets * d`` for a shared row.
     """
     if a.ndim < 2 or table.ndim != 2 or a.shape[-1] != table.shape[1]:
         raise ShapeMismatch(f"gather_dot needs (..., n, d) and (n_offsets, d) operands, "
@@ -427,38 +424,35 @@ def gather_dot(a, table, index):
     rows = a.shape[-2]
     if rows not in (1, n_q):
         raise ShapeMismatch(f"gather_dot: {rows} rows of a for {n_q} queries")
-    if rows == 1:
-        # a broadcasting matmul, so a batch gets the same floats as
-        # per-sample calls (one (L, d) @ table.T GEMM does not)
-        profile = (table.data @ a.data[..., 0, :, None])[..., 0]
-        data = np.take(profile, idx, axis=-1)
-    else:
-        data = np.empty(a.shape[:-2] + (n_q, n_k))
-        for lo in range(0, n_q, GATHER_DOT_ROWS):
-            hi = lo + GATHER_DOT_ROWS
-            # np.take gathers rows about twice as fast as fancy indexing
-            block = np.take(table.data, idx[lo:hi], axis=0)
-            np.matmul(block, a.data[..., lo:hi, :, None], out=data[..., lo:hi, :, None])
+    a2 = a.data.reshape(-1, rows, d)
+    step = n_q if rows == 1 else GATHER_DOT_ROWS
+
+    def blocks():
+        """Each block's query slice, its rows of a2, and its pairs' flat
+        positions in the block's (rows, n_offsets) profile."""
+        for lo in range(0, n_q, step):
+            qs = slice(lo, lo + step)
+            ab = a2[:, qs]
+            flat = idx[qs] if rows == 1 else idx[qs] + np.arange(ab.shape[1])[:, None] * n_off
+            yield qs, ab, flat
+
+    data = np.empty((len(a2), n_q, n_k))
+    for qs, ab, flat in blocks():
+        profile = ab @ table.data.T
+        # every position is in range; "clip" lets take write into out directly
+        np.take(profile.reshape(len(ab), -1), flat, axis=1, out=data[:, qs], mode="clip")
+    data = data.reshape(a.shape[:-2] + (n_q, n_k))
     _emit(macs=data.size * d)
 
     def backward(g):
-        # a shared row is one block of one row
-        step = n_q if rows == 1 else GATHER_DOT_ROWS
-        a2 = a.data.reshape(-1, rows, d)
         g2 = g.reshape(-1, n_q, n_k)
         ga = np.empty(a2.shape)
         gt = np.zeros(table.shape)
-        for lo in range(0, n_q, step):
-            ab = a2[:, lo:lo + step]
-            r = ab.shape[1]
-            # pair (q, k) lands in S at (its row of a in the block, index[q, k])
-            scatter = idx[lo:lo + step]
-            if r > 1:
-                scatter = scatter + np.arange(r)[:, None] * n_off
+        for qs, ab, flat in blocks():
             for b in range(len(ab)):
-                s = np.bincount(scatter.ravel(), weights=g2[b, lo:lo + step].ravel(),
-                                minlength=r * n_off).reshape(r, n_off)
-                ga[b, lo:lo + step] = s @ table.data
+                s = np.bincount(flat.ravel(), weights=g2[b, qs].ravel(),
+                                minlength=ab.shape[1] * n_off).reshape(-1, n_off)
+                ga[b, qs] = s @ table.data
                 gt += s.T @ ab[b]
         a._accum(ga.reshape(a.shape))
         table._accum(gt)
@@ -474,8 +468,10 @@ class Rng:
     """
 
     def __init__(self, *key):
-        if not key:
-            raise ContractViolation("Rng needs at least one integer key")
+        bad = [k for k in key
+               if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0]
+        if bad or not key:
+            raise ContractViolation(f"Rng needs one or more non-negative int keys, got {key!r}")
         self.key = tuple(int(k) for k in key)
         self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.key)))
 

@@ -307,3 +307,8 @@ class _EmptyBatches:
 def test_parameters_left_non_finite_by_the_last_step_raise():
     with np.errstate(all="ignore"), pytest.raises(NumericFault, match="non-finite at step 0"):
         train_model(_OverflowingModel(), _EmptyBatches(), steps=1, lr=1e300)
+
+
+def test_a_fractional_task_seed_is_rejected_not_truncated():
+    with pytest.raises(ContractViolation, match="0.5"):
+        make_task("permuted-copy", seed=0.5)

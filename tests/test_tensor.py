@@ -753,3 +753,42 @@ def test_every_single_input_op_passes_finite_difference_and_keeps_its_counts(cas
         grad = out.data * (probe - (out.data * probe).sum(axis=last, keepdims=True))
         assume(shape[last] == 1 or (np.abs(grad) > 1e-3).all())
     assert finite_diff_check(lambda: op(x) * Tensor(probe), [x]) <= 1e-6
+
+
+# -- one-element tensors, Rng keys and the gather_dot forward's footprint ------------------
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+def test_item_reads_any_one_element_tensor(shape):
+    value = Tensor(np.full(shape, 2.5)).item()
+    assert value == 2.5 and type(value) is float
+
+
+@pytest.mark.parametrize("key", [-1, 1.5, True, "3"])
+def test_rng_rejects_a_key_that_is_not_a_non_negative_int(key):
+    with pytest.raises(ContractViolation, match=repr(key)):
+        Rng(key)
+    with pytest.raises(ContractViolation, match=repr(key)):
+        Rng(0).child(key)
+
+
+def test_rng_accepts_numpy_int_keys():
+    assert Rng(np.int64(3), np.int32(0)).key == (3, 0)
+    np.testing.assert_array_equal(Rng(np.int64(3)).normal(4), Rng(3).normal(4))
+
+
+def test_gather_dot_forward_peak_stays_below_one_per_offset_profile():
+    offsets = offset_map_2d(24, 24, 16)
+    n_q = offsets.index.shape[0]
+    d = 8
+    rng = Rng(37)
+    a = Tensor(rng.uniform(-1, 1, (n_q, d)))
+    table = Tensor(rng.uniform(-1, 1, (offsets.n_offsets, d)))
+    whole_profile = n_q * offsets.n_offsets * 8  # bytes of one (n_q, n_offsets) float64 array
+    tracemalloc.start()
+    try:
+        gather_dot(a, table, offsets.index)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < whole_profile
