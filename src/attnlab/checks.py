@@ -17,7 +17,7 @@ from .attention import (
     offset_map_1d,
     offset_map_2d,
 )
-from .conv import ConvParams, deformable_conv2d, linear_kernel, regular_conv2d
+from .conv import ConvParams, deformable_conv2d, regular_conv2d
 from .dynconv import DynamicConvParams, dynamic_conv1d, dynamic_kernel, glu
 from .errors import DegenerateRegion
 from .flops import count_attention, count_deformable, count_dynamic
@@ -78,17 +78,24 @@ def check_deformable_degenerates():
 
 
 def check_bilinear_partition():
-    """bilinear corner weights form a partition of unity"""
+    """deformable reads at fractional in-extent positions weigh their
+    corners to one: a constant input reads back constant"""
     rng = Rng(4)
-    for i in range(200):
-        p = rng.uniform(0.0, 3.0, (2,))
-        lo = np.floor(p)
-        total = 0.0
-        for dy in (0, 1):
-            for dx in (0, 1):
-                total += (linear_kernel(p[0], lo[0] + dy)
-                          * linear_kernel(p[1], lo[1] + dx))
-        assert abs(total - 1.0) <= 1e-12
+    c, side = 3, 7
+    for i in range(20):
+        params = ConvParams(c, 2, kernel=3, ndim=2, rng=rng.child(i), deformable=True)
+        # channel 0 steers each cell's offsets within (-1, 1) and the kernel
+        # ignores it; the other channels are constant
+        params.weight.data.reshape(9, c, 2)[:, 0] = 0.0
+        params.offset_w.data[0] = rng.uniform(-0.9, 0.9, (18,))
+        x = np.ones((side * side, c))
+        x[:, 0] = rng.uniform(-1.0, 1.0, (side * side,))
+        got = deformable_conv2d(Tensor(x), params, extent=(side, side)).data
+        want = regular_conv2d(Tensor(x), params, extent=(side, side)).data
+        # cells two or more from the edge read only inside the extent
+        inner = (slice(2, side - 2),) * 2
+        err = np.abs(got - want).reshape(side, side, 2)[inner].max()
+        assert err <= 1e-12, f"constant input read back off by {err:.3g}"
 
 
 def check_dynamic_kernel_rows():

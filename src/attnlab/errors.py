@@ -1,5 +1,6 @@
 """Error types shared across the package, and the size checks they guard."""
 
+import math
 import numbers
 
 
@@ -22,6 +23,13 @@ class NumericFault(ArithmeticError):
 def positive_int(value):
     """Whether ``value`` is an int above zero; a bool does not count."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value > 0
+
+
+def at_least(value, low, kind=numbers.Real):
+    """Whether ``value`` is a finite number of the given kind, no less than
+    ``low``; a bool does not count, and NaN fails the comparison."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and low <= value < math.inf)
 
 
 def check_sizes(**sizes):

@@ -22,9 +22,10 @@ from .errors import (
     DegenerateRegion,
     NumericFault,
     ShapeMismatch,
+    at_least,
     positive_int,
 )
-from .models import FAMILIES, build_model, count_forward
+from .models import FAMILIES, build_model, count_forward, switchless
 from .tasks import TASK_MAKERS, make_task
 from .train import evaluate, train_model
 
@@ -47,12 +48,6 @@ ALL_BETAS = tuple(format(i, "04b") for i in range(16))
 NO_BETA = "----"
 
 
-def _at_least(value, low, kind=numbers.Real):
-    """A finite number of the given kind, bools excluded, no less than low."""
-    return (isinstance(value, kind) and not isinstance(value, bool)
-            and low <= value < math.inf)
-
-
 @dataclass
 class RunConfig:
     """One grid cell. None fields fall back to the task's defaults."""
@@ -64,7 +59,6 @@ class RunConfig:
     steps: int = None
     batch_size: int = None
     lr: float = None
-    momentum: float = 0.9
     clip: float = 1.0
     heads: int = 2
     window: int = None
@@ -88,12 +82,11 @@ class RunConfig:
             "stack": isinstance(out.stack, str),
             "beta": isinstance(out.beta, str) and len(out.beta) == 4
                     and set(out.beta) <= {"0", "1"},
-            "seed": _at_least(out.seed, 0, numbers.Integral),
-            "steps": _at_least(out.steps, 0, numbers.Integral),
+            "seed": at_least(out.seed, 0, numbers.Integral),
+            "steps": at_least(out.steps, 0, numbers.Integral),
             "batch_size": positive_int(out.batch_size),
-            "lr": _at_least(out.lr, 0) and out.lr > 0,
-            "momentum": _at_least(out.momentum, 0) and out.momentum < 1,
-            "clip": out.clip is None or (_at_least(out.clip, 0) and out.clip > 0),
+            "lr": at_least(out.lr, 0) and out.lr > 0,
+            "clip": out.clip is None or (at_least(out.clip, 0) and out.clip > 0),
             "heads": positive_int(out.heads),
             "window": out.window is None or positive_int(out.window),
             "n_groups": positive_int(out.n_groups),
@@ -151,10 +144,8 @@ def train(config: RunConfig) -> ResultRecord:
         model = build_model(task, cfg.stack, cfg.beta, seed=cfg.seed,
                             heads=cfg.heads, window=cfg.window,
                             n_groups=cfg.n_groups)
-        if cfg.steps > 0:
-            train_model(model, task, steps=cfg.steps,
-                        batch_size=cfg.batch_size, lr=cfg.lr,
-                        momentum=cfg.momentum, clip=cfg.clip)
+        train_model(model, task, steps=cfg.steps, batch_size=cfg.batch_size,
+                    lr=cfg.lr, clip=cfg.clip)
         accuracy = evaluate(model, task)
         macs = count_forward(model, task.eval_set()[0]).macs
     except (ContractViolation, DegenerateRegion, NumericFault,
@@ -163,7 +154,7 @@ def train(config: RunConfig) -> ResultRecord:
     wall_ms = (time.perf_counter() - start) * 1000.0
     # str() and the seed fallback keep a malformed config's row sortable
     stack = str(cfg.stack or DEFAULT_STACK.get(str(cfg.task), ""))
-    beta = NO_BETA if "dynamic" in stack else str(cfg.beta)
+    beta = NO_BETA if switchless(stack) else str(cfg.beta)
     seed = cfg.seed if isinstance(cfg.seed, numbers.Integral) else -1
     return ResultRecord(task=str(cfg.task), stack=stack, beta=beta,
                         accuracy=accuracy, macs=macs, wall_ms=wall_ms,
@@ -182,22 +173,18 @@ def run_grid(task, configs) -> list:
 def default_grid(task, seed=0, **overrides):
     """The standard row set for one task.
 
-    All beta switch settings on the base stack; for self-attention tasks
-    (those whose family takes dynamic conv) also the deformable rows at
-    the two betas the cost story compares, plus the dynamic-conv row. A
-    ``stack`` override gives only the beta rows, on that stack.
+    All switch strings on the base stack; if the family has a switchless
+    stack, also each other stack at the two betas the cost story compares.
+    A ``stack`` override gives its rows only. A switchless stack is one "0000" row.
     """
     if not isinstance(task, str) or task not in DEFAULT_STACK:
         raise ContractViolation(f"no default grid for task {task!r}")
-    base = DEFAULT_STACK[task]
-    configs = [RunConfig(task=task, beta=b, seed=seed, **overrides) for b in ALL_BETAS]
-    if base + "+dynamic" in FAMILIES[task].stacks and overrides.get("stack") is None:
-        for b in ("0010", "1111"):
-            configs.append(RunConfig(task=task, beta=b, seed=seed,
-                                     stack=base + "+deformable", **overrides))
-        configs.append(RunConfig(task=task, beta="0000", seed=seed,
-                                 stack=base + "+dynamic", **overrides))
-    return configs
+    stack = overrides.pop("stack", None)
+    stacks = {stack: ALL_BETAS}
+    if stack is None and any(map(switchless, FAMILIES[task].stacks)):
+        stacks.update(dict.fromkeys(FAMILIES[task].stacks[1:], ("0010", "1111")))
+    return [RunConfig(task=task, beta=b, seed=seed, stack=s, **overrides)
+            for s, betas in stacks.items() for b in (("0000",) if switchless(s) else betas)]
 
 
 def emit_results(records, path=None):

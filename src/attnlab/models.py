@@ -37,7 +37,7 @@ from .attention import (
 from .conv import ConvParams, deformable_conv, regular_conv
 from .dynconv import DynamicConvParams, dynamic_conv
 from .errors import ContractViolation, NumericFault
-from .tensor import Rng, Tensor, counting, zeros
+from .tensor import Rng, Tensor, counting, no_grad, zeros
 
 
 def cross_entropy(logits, labels):
@@ -52,6 +52,9 @@ def cross_entropy(logits, labels):
     n, v = logits.shape
     if labels.shape != (n,):
         raise ContractViolation(f"expected {n} labels, got shape {labels.shape}")
+    outside = labels[(labels < 0) | (labels >= v)]
+    if outside.size:
+        raise ContractViolation(f"label {outside[0]} is not one of the {v} classes [0, {v})")
     centered = logits - Tensor(logits.data.max(axis=-1, keepdims=True))
     log_probs = centered - centered.exp().sum(axis=-1, keepdims=True).log()
     picked = log_probs.reshape(n * v, 1).take_rows(labels + np.arange(n) * v)
@@ -66,6 +69,12 @@ def _labels(samples):
 def _stacked(samples, key):
     """One tensor of the samples' ``key`` arrays stacked along the rows."""
     return Tensor(np.concatenate([s[key] for s in samples]))
+
+
+def switchless(stack):
+    """Whether a stack (or its "+" suffix) takes no switch string: its
+    dynamic conv stands in for the switched attention."""
+    return isinstance(stack, str) and stack.rpartition("+")[2] == "dynamic"
 
 
 class _Model:
@@ -139,7 +148,7 @@ class _Model:
         """Set up a residual self-attention, or for the "dynamic" stack a
         zero-gated dynamic conv, over ``self.extent``; its trainable tensors."""
         self.dyn = None
-        if extra != "dynamic":
+        if not switchless(extra):
             return self._attention(beta, heads, window, self.extent, self.extent)
         c = self.task.channels
         self.dyn = DynamicConvParams(c, c, kernel=3, n_groups=n_groups,
@@ -244,8 +253,8 @@ STACKS = tuple(dict.fromkeys(s for f in FAMILIES.values() for s in f.stacks))
 
 
 def count_forward(model, sample):
-    """MAC record of one un-batched forward pass up to the logits."""
-    with counting() as counter:
+    """MAC record of one un-batched forward pass up to the logits, untaped."""
+    with counting() as counter, no_grad():
         model.logits(sample)
     return counter
 

@@ -14,7 +14,7 @@ encoding per axis, so its dimension must be divisible by 2r.
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, at_least
 
 DEFAULT_BASE = 10000.0
 
@@ -38,7 +38,10 @@ def flat_index(coords, extent, first=0):
 
 def encode(offsets, dim, clip=None, ndim=None):
     """Encode (..., r) integer offsets as (..., dim) sinusoid features,
-    dim // r channels per axis; ``ndim``, if given, is the r required."""
+    dim // r channels per axis; ``ndim``, if given, is the r required.
+    ``clip``, if given, is a finite magnitude of at least zero."""
+    if not (clip is None or at_least(clip, 0)):
+        raise ContractViolation(f"clip must be a finite number >= 0, got {clip!r}")
     d = np.asarray(offsets, dtype=np.float64)
     rank = d.shape[-1] if d.ndim else 0
     if rank < 1 or ndim not in (None, rank) or dim % (2 * rank):

@@ -29,12 +29,11 @@ is kept disjoint from the held-out eval set by construction.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolation, check_sizes, positive_int
+from .errors import ContractViolation, at_least, check_sizes, positive_int
 from .tensor import Rng
 
 
@@ -195,7 +194,7 @@ def make_salient_detection_task(seed, extent=(6, 6), classes=4, channels=16,
 def make_windowed_denoise_task(seed, length=16, vocab=5, channels=16,
                                flip=0.2, eval_size=200):
     check_sizes(length=length, vocab=vocab, channels=channels)
-    if not (isinstance(flip, numbers.Real) and 0.0 <= flip <= 1.0):
+    if not (at_least(flip, 0) and flip <= 1.0):
         raise ContractViolation(f"flip must be a probability, got {flip!r}")
     embed = _orthonormal_rows(vocab, channels, Rng(seed).child(9))
     task = ToyTask(

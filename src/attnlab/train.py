@@ -54,13 +54,12 @@ def clip_gradients(params, max_norm):
     return norm
 
 
-def train_model(model, task, steps, batch_size=16, lr=0.1, momentum=0.9,
-                clip=None):
+def train_model(model, task, steps, batch_size=16, lr=0.1, clip=None):
     """Run the loop, one forward and one backward of the whole batch per
     step; returns the final loss and raises NumericFault if the loss stops
     being finite or the parameters are not finite after the last step."""
     params = model.parameters()
-    opt = Momentum(params, lr=lr, momentum=momentum)
+    opt = Momentum(params, lr=lr)
     last = None
     for step in range(steps):
         batch = task.train_batch(step, batch_size)
