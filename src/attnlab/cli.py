@@ -18,6 +18,7 @@ from .harness import (
     emit_results,
     run_grid,
 )
+from .models import switchless
 
 
 def _parse_betas(text):
@@ -43,8 +44,8 @@ def _grid_configs(args):
                  if getattr(args, name) is not None}
     if args.betas is None:
         return default_grid(args.task, seed=args.seed, **overrides)
-    return [RunConfig(task=args.task, beta=b, seed=args.seed, **overrides)
-            for b in _parse_betas(args.betas)]
+    betas = ("0000",) if switchless(args.stack) else _parse_betas(args.betas)
+    return [RunConfig(task=args.task, beta=b, seed=args.seed, **overrides) for b in betas]
 
 
 def _cmd_grid(args):

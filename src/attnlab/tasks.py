@@ -46,8 +46,11 @@ def _orthonormal_rows(n, dim, rng: Rng):
 
 @dataclass
 class ToyTask:
-    """One synthetic task instance, its maker's sampler ``draw(task, rng)``
-    and its sampling state."""
+    """One synthetic task instance, its maker's sampler and its sampling
+    state. ``draw(task, rng, n)`` returns n sample dicts from one draw per
+    batch: one ``rng`` call per numpy primitive, each sample's arrays row
+    views of the stacked (n, ...) arrays, and its ``key`` the bytes of an
+    int64 row that tells samples apart."""
 
     kind: str
     vocab: int
@@ -72,20 +75,19 @@ class ToyTask:
     def eval_set(self):
         """The held-out samples; built once, bit-stable thereafter."""
         if self._eval is None:
-            rng = self._rng.child(0)
-            self._eval = [self.draw(self, rng) for _ in range(self.eval_size)]
+            self._eval = self.draw(self, self._rng.child(0), self.eval_size)
             self._eval_keys = {s["key"] for s in self._eval}
         return self._eval
 
     def train_batch(self, step, batch_size):
-        """Training samples for one step, disjoint from the eval set."""
+        """Training samples for one step, disjoint from the eval set: each
+        draw fills the shortfall, less the samples the eval set holds."""
         self.eval_set()
         rng = self._rng.child(1, step)
         out = []
         while len(out) < batch_size:
-            s = self.draw(self, rng)
-            if s["key"] not in self._eval_keys:
-                out.append(s)
+            out += [s for s in self.draw(self, rng, batch_size - len(out))
+                    if s["key"] not in self._eval_keys]
         return out
 
     @property
@@ -93,42 +95,47 @@ class ToyTask:
         return 1.0 / self.vocab
 
 
-def _draw_permuted_copy(task, rng):
-    length = task.extent
-    tokens = rng.choice(task.vocab, size=length, replace=False)
-    pos = int(rng.integers(0, length))
-    label = int(tokens[pos])
-    return {
-        "tokens": tokens,
-        "inputs": task.embed[tokens],
-        "query": task.embed[label][None, :],
-        "label": label,
-        "key": (tuple(tokens), pos),
-    }
+def _permutations(rng, n, size):
+    """n independent random permutations of range(size), one per row."""
+    return np.argsort(rng.uniform(0.0, 1.0, (n, size)), axis=1)
 
 
-def _draw_salient(task, rng):
+def _keys(*parts):
+    """Per row, the bytes of the (int64) row of ``parts`` side by side."""
+    return [row.tobytes() for row in np.concatenate(parts, axis=1)]
+
+
+def _draw_permuted_copy(task, rng, n):
+    tokens = _permutations(rng, n, task.vocab)[:, :task.extent]
+    pos = rng.integers(0, task.extent, n)
+    labels = tokens[np.arange(n), pos]
+    inputs, queries = task.embed[tokens], task.embed[labels][:, None, :]
+    return [{"tokens": t, "inputs": x, "query": q, "label": int(y), "key": k}
+            for t, x, q, y, k in zip(tokens, inputs, queries, labels,
+                                     _keys(tokens, pos[:, None]))]
+
+
+def _draw_salient(task, rng, n):
     h, w = task.extent
     cells = h * w
     per_class = cells // task.vocab
-    assignment = np.repeat(np.arange(task.vocab), per_class)[rng.permutation(cells)]
-    label = int(rng.integers(0, task.vocab))
-    own = np.flatnonzero(assignment == label)
-    marked = own[rng.choice(per_class, size=task.n_marked, replace=False)]
-    x = np.zeros((cells, task.channels))
-    x[:, 1:] = task.embed[assignment]
-    x[marked, 0] = 1.0
-    return {
-        "inputs": x,
-        "label": label,
-        "marked": marked,
-        "assignment": assignment,
-        "key": (tuple(assignment), tuple(sorted(marked))),
-    }
+    # a permutation of the balanced class sequence: cell i of it is class i // per_class
+    assignment = _permutations(rng, n, cells) // per_class
+    labels = rng.integers(0, task.vocab, n)
+    own = np.nonzero(assignment == labels[:, None])[1].reshape(n, per_class)
+    picks = np.sort(_permutations(rng, n, per_class)[:, :task.n_marked], axis=1)
+    marked = np.take_along_axis(own, picks, axis=1)
+    # channel 0 is the marker, the rest the payload
+    x = np.concatenate((np.zeros((task.vocab, 1)), task.embed), axis=1)[assignment]
+    x[np.arange(n)[:, None], marked, 0] = 1.0
+    return [{"inputs": xi, "label": int(y), "marked": m, "assignment": a, "key": k}
+            for xi, y, m, a, k in zip(x, labels, marked, assignment,
+                                      _keys(assignment, marked))]
 
 
 def window_majority(observed):
-    """Per-position majority over a 3-wide window, ties keep the center.
+    """Per-position majority over a 3-wide window along the last axis,
+    ties keep the center.
 
     This is the labeling rule of windowed-denoise; windows are truncated
     at the sequence edges, so an edge keeps its value. An interior
@@ -136,23 +143,19 @@ def window_majority(observed):
     otherwise keeps its value.
     """
     labels = np.array(observed, dtype=np.int64)
-    left, right = labels[:-2], labels[2:]
-    labels[1:-1] = np.where(left == right, left, labels[1:-1])
+    left, right = labels[..., :-2], labels[..., 2:]
+    labels[..., 1:-1] = np.where(left == right, left, labels[..., 1:-1])
     return labels
 
 
-def _draw_denoise(task, rng):
-    length = task.extent
-    signal = rng.integers(0, task.vocab, length)
-    flips = rng.uniform(0.0, 1.0, length) < task.flip
-    noise = rng.integers(0, task.vocab, length)
-    observed = np.where(flips, noise, signal)
-    return {
-        "tokens": observed,
-        "inputs": task.embed[observed],
-        "label": window_majority(observed),
-        "key": tuple(observed),
-    }
+def _draw_denoise(task, rng, n):
+    shape = (n, task.extent)
+    signal = rng.integers(0, task.vocab, shape)
+    flips = rng.uniform(0.0, 1.0, shape) < task.flip
+    observed = np.where(flips, rng.integers(0, task.vocab, shape), signal)
+    return [{"tokens": t, "inputs": x, "label": y, "key": k}
+            for t, x, y, k in zip(observed, task.embed[observed],
+                                  window_majority(observed), _keys(observed))]
 
 
 # -- constructors ---------------------------------------------------------------

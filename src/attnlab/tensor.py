@@ -487,12 +487,6 @@ class Rng:
     def integers(self, low, high, shape=None):
         return self._gen.integers(low, high, size=shape)
 
-    def permutation(self, n):
-        return self._gen.permutation(n)
-
-    def choice(self, n, size, replace=False):
-        return self._gen.choice(n, size=size, replace=replace)
-
     def param(self, shape, fan_in):
         """Fresh trainable parameter, uniform in +-sqrt(1/fan_in)."""
         bound = float(np.sqrt(1.0 / fan_in))

@@ -79,6 +79,15 @@ def test_grid_with_a_fixed_stack_runs_the_beta_rows_on_it(monkeypatch, capsys):
     assert len(capsys.readouterr().out.strip().split("\n")) == 1 + 16
 
 
+
+def test_grid_betas_on_a_switchless_stack_run_one_row(capsys):
+    code = main(["grid", "--task", "salient-detection", "--stack", "attended-block+dynamic",
+                 "--betas", "1000,0100", "--steps", "0"])
+    assert code == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert len(rows) == 1
+    assert rows[0].split(",")[:3] == ["salient-detection", "attended-block+dynamic", "----"]
+
 def test_grid_with_an_empty_config_list_exits_2(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text("[]", encoding="utf-8")
