@@ -19,14 +19,12 @@ query-key pair through the fused ``gather_dot`` op.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
-from operator import add
 
 import numpy as np
 
 from .errors import ContractViolation, ShapeMismatch, positive_int
 from .relpos import cells, encode, flat_index
-from .tensor import Rng, Tensor, gather_dot, rows_per_sample
+from .tensor import Rng, Tensor, gather_dot, rows_per_sample, softmax_sum
 
 
 @dataclass(frozen=True)
@@ -244,27 +242,25 @@ def attention_weights(z, x, params, config, offsets=None, mask=None, *, batch=1)
     """Per-head attention weight matrices, shape (batch * n_q, n_k) each.
 
     ``z`` and ``x`` stack ``batch`` samples along their rows; the rows of
-    each sample attend only to the keys of the same sample. Each head's
-    energy is the sum of its active terms from ``_head_energies``.
-    Positional terms need ``offsets``.
+    each sample attend only to the keys of the same sample. One
+    ``softmax_sum`` op per head adds its active terms from
+    ``_head_energies``, each broadcast from its own shape, into one
+    (batch, n_q, n_k) buffer, so no zero grid is needed, and normalizes
+    it there. Positional terms need ``offsets`` for one sample's pairs.
     """
-    g_qk, g_qp, g_ko, g_po = config.gates
+    positional = config.gates[1] or config.gates[3]
     if config.heads != params.heads:
         raise ShapeMismatch(f"config has {config.heads} heads, params {params.heads}")
-    if (g_qp or g_po) and offsets is None:
+    if positional and offsets is None:
         raise ContractViolation("positional terms need an OffsetMap")
     n_q = rows_per_sample(z, batch, "z")
     n_k = rows_per_sample(x, batch, "x")
-    # key_only and pos_only, alone or with each other only, lack an axis
-    # of (batch, n_q, n_k); the zero grid gives the sum that shape
-    full = g_qk or g_qp or (g_ko and g_po)
-    weights = []
-    for m in range(params.heads):
-        terms = [] if full else [Tensor(np.zeros((batch, n_q, n_k)))]
-        terms += _head_energies(z, x, params, m, config.gates, offsets, batch)
-        energy = reduce(add, terms).softmax(axis=-1, mask=mask)
-        weights.append(energy.reshape(batch * n_q, n_k))
-    return weights
+    if positional and offsets.index.shape != (n_q, n_k):
+        raise ShapeMismatch(f"offset map covers {offsets.index.shape} query-key pairs, "
+                            f"the inputs {(n_q, n_k)}")
+    return [softmax_sum(_head_energies(z, x, params, m, config.gates, offsets, batch),
+                        (batch, n_q, n_k), mask=mask).reshape(batch * n_q, n_k)
+            for m in range(params.heads)]
 
 
 def attention_forward(z, x, params, config, offsets=None, mask=None, mode="self",

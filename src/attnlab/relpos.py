@@ -14,7 +14,7 @@ encoding per axis, so its dimension must be divisible by 2r.
 
 import numpy as np
 
-from .errors import ContractViolation, at_least
+from .errors import ContractViolation, at_least, positive_int
 
 DEFAULT_BASE = 10000.0
 
@@ -44,9 +44,9 @@ def encode(offsets, dim, clip=None, ndim=None):
         raise ContractViolation(f"clip must be a finite number >= 0, got {clip!r}")
     d = np.asarray(offsets, dtype=np.float64)
     rank = d.shape[-1] if d.ndim else 0
-    if rank < 1 or ndim not in (None, rank) or dim % (2 * rank):
-        raise ContractViolation(f"cannot encode offsets of shape {d.shape} in {dim} channels: "
-                                f"need {ndim or 'r > 0'} components and a dim divisible by 2r")
+    if not positive_int(dim) or rank < 1 or ndim not in (None, rank) or dim % (2 * rank):
+        raise ContractViolation(f"cannot encode offsets of shape {d.shape} in {dim!r} channels: "
+                                f"need {ndim or 'r > 0'} components and a dim > 0 divisible by 2r")
     if clip is not None:
         d = np.clip(d, -clip, clip)
     per_axis = dim // rank

@@ -278,31 +278,8 @@ class Tensor:
     # -- softmax ----------------------------------------------------------------
 
     def softmax(self, axis=-1, mask=None):
-        """Normalize along ``axis`` after subtracting the slice max.
-
-        ``mask`` marks valid entries; invalid ones get an additive -inf
-        before the max subtraction and come out exactly zero. A slice
-        with nothing valid raises DegenerateRegion rather than NaN.
-        """
-        x = self.data
-        if mask is not None:
-            m = mask.data if isinstance(mask, Tensor) else np.asarray(mask)
-            try:
-                m = np.broadcast_to(m.astype(bool), x.shape)
-            except ValueError as exc:
-                raise ShapeMismatch(f"mask of shape {m.shape} does not broadcast to "
-                                    f"energies of shape {x.shape}") from exc
-            x = np.where(m, x, -np.inf)
-        top = x.max(axis=axis, keepdims=True)
-        # a slice has a valid entry exactly when its max is not -inf
-        if np.isneginf(top).any():
-            raise DegenerateRegion("softmax slice is fully masked")
-        # x - top is a fresh array, so exp and the division run in place
-        data = x - top
-        np.exp(data, out=data)
-        data /= data.sum(axis=axis, keepdims=True)
-        _emit(exps=data.size, divs=data.size)
-        return self._unary(data, lambda g: data * (g - (g * data).sum(axis=axis, keepdims=True)))
+        """Normalize along ``axis``: the one-term case of ``softmax_sum``."""
+        return softmax_sum([self], self.shape, axis, mask)
 
     def reciprocal(self):
         data = 1.0 / self.data
@@ -383,6 +360,45 @@ class Tensor:
             # grad is complete here and needed no longer; keep leaf grads
             if node._parents:
                 node.grad = None
+
+
+def softmax_sum(terms, shape, axis=-1, mask=None):
+    """Softmax along ``axis`` of the sum of ``terms`` broadcast to ``shape``
+    (zeros when there are none), as one tape op. The terms are added in
+    order into one fresh C-order buffer, and the mask (-inf where invalid,
+    so those entries come out exactly zero), the max subtraction, the exp
+    and the division run in place on it. A fully masked slice raises
+    DegenerateRegion. Each term gets the gradient reduced to its shape.
+    """
+    data = np.zeros(shape)
+    try:
+        for t in terms:
+            data += t.data
+    except ValueError as exc:
+        raise ShapeMismatch(f"energy terms of shapes {[t.shape for t in terms]} do not "
+                            f"broadcast to {data.shape}") from exc
+    if mask is not None:
+        m = mask.data if isinstance(mask, Tensor) else np.asarray(mask)
+        try:
+            np.copyto(data, -np.inf, where=~m.astype(bool))
+        except ValueError as exc:
+            raise ShapeMismatch(f"mask of shape {m.shape} does not broadcast to "
+                                f"energies of shape {data.shape}") from exc
+    top = data.max(axis=axis, keepdims=True)
+    # a slice has a valid entry exactly when its max is not -inf
+    if np.isneginf(top).any():
+        raise DegenerateRegion("softmax slice is fully masked")
+    data -= top
+    np.exp(data, out=data)
+    data /= data.sum(axis=axis, keepdims=True)
+    _emit(exps=data.size, divs=data.size)
+
+    def backward(g):
+        gx = data * (g - (g * data).sum(axis=axis, keepdims=True))
+        for t in terms:
+            t._accum(_unbroadcast(gx, t.shape))
+
+    return Tensor._from_op(data, terms, backward)
 
 
 # query rows whose (rows, n_offsets) profile gather_dot holds at once,
