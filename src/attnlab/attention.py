@@ -5,15 +5,22 @@ four energies: query-key content match, query content against relative
 position, key saliency alone, and a pure relative-position bias. Each
 term can be toggled independently, which is the knob the ablation
 harness turns. With every term off the weights are uniform over the
-unmasked region.
+unmasked region. Per head, the two query-driven terms share the query
+projection and the two key-driven terms the key projection; the two
+positional terms dot a vector with the projected table row of each
+query-key pair (``tensor.gather_dot``).
 
-Per head, the query projection is shared between the two query-driven
-terms and the key projection between the two key-driven terms, so a
-layer with several terms active is cheaper than the sum of standalone
-terms. Encoded relative offsets are projected once per layer from a
-precomputed table covering every realizable offset; the two positional
-terms then dot a per-query (or shared) vector with the table row of each
-query-key pair through the fused ``gather_dot`` op.
+The math has one numpy body each in ``tensor``, returning a value and its
+vector-Jacobian product (VJP): the matmul, the gather and the masked
+softmax over a sum of terms. ``attention_forward`` is one tape op over
+them: its forward runs one head at a time over the whole batch and keeps
+each head's (batch, n_q, n_k) weights and small projections, and its
+backward is the hand-written VJP into the per-head parameters, ``z`` and
+``x``. With both positional terms on it gathers the table once against
+the query plus the position bias, as Transformer-XL computes its terms
+(b) and (d). ``attention_weights`` and the one-term views
+(``query_key_energy``, ...) are tape views over the same bodies: one tape
+node per term, one ``softmax_sum`` node per head.
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ import numpy as np
 
 from .errors import ContractViolation, ShapeMismatch, positive_int
 from .relpos import cells, encode, flat_index
-from .tensor import Rng, Tensor, gather_dot, rows_per_sample, softmax_sum
+from .tensor import (Rng, Tensor, _emit, _gather_dot, _matmul, _softmax_sum, _unbroadcast,
+                     gather_dot, rows_per_sample, softmax_sum, vjp_op)
 
 
 @dataclass(frozen=True)
@@ -80,6 +88,7 @@ class AttentionParams:
             raise ShapeMismatch(f"heads ({heads}) must divide channels ({channels})")
         self.channels = channels
         self.heads = heads
+        self.enc_dim = enc_dim
         self.head_dim = channels // heads
         d, c, p = self.head_dim, channels, enc_dim
         self.query_embed = [rng.param((d, c), fan_in=c) for _ in range(heads)]
@@ -92,19 +101,8 @@ class AttentionParams:
         self.res_scale = Tensor(0.0, requires_grad=True)
 
     def parameters(self):
-        out = []
-        for group in (
-            self.query_embed,
-            self.key_embed_,
-            self.pos_embed,
-            self.content_bias,
-            self.position_bias,
-            self.value_proj,
-            self.out_proj,
-        ):
-            out.extend(group)
-        out.append(self.res_scale)
-        return out
+        return [*self.query_embed, *self.key_embed_, *self.pos_embed, *self.content_bias,
+                *self.position_bias, *self.value_proj, *self.out_proj, self.res_scale]
 
 
 @dataclass
@@ -186,16 +184,16 @@ def _head_energies(z, x, params, m, gates, offsets=None, batch=1):
     if g_qk or g_qp:
         qe = (z @ params.query_embed[m].T).reshape(batch, -1, d)
     if g_qk or g_ko:
-        ke = x @ params.key_embed_[m].T
+        ket = (x @ params.key_embed_[m].T).reshape(batch, -1, d).T
     if g_qp or g_po:
         tbl = Tensor(offsets.table) @ params.pos_embed[m].T
     terms = []
     if g_qk:
-        terms.append(qe @ ke.reshape(batch, -1, d).T)
+        terms.append(qe @ ket)
     if g_qp:
         terms.append(gather_dot(qe, tbl, offsets.index))
     if g_ko:
-        terms.append((ke @ params.content_bias[m]).reshape(batch, 1, -1))
+        terms.append(params.content_bias[m].T @ ket)
     if g_po:
         terms.append(gather_dot(params.position_bias[m].reshape(1, d), tbl, offsets.index))
     return terms
@@ -238,19 +236,17 @@ def pos_only_profile(offsets, params):
 # -- the layer ----------------------------------------------------------------
 
 
-def attention_weights(z, x, params, config, offsets=None, mask=None, *, batch=1):
-    """Per-head attention weight matrices, shape (batch * n_q, n_k) each.
-
-    ``z`` and ``x`` stack ``batch`` samples along their rows; the rows of
-    each sample attend only to the keys of the same sample. One
-    ``softmax_sum`` op per head adds its active terms from
-    ``_head_energies``, each broadcast from its own shape, into one
-    (batch, n_q, n_k) buffer, so no zero grid is needed, and normalizes
-    it there. Positional terms need ``offsets`` for one sample's pairs.
-    """
-    positional = config.gates[1] or config.gates[3]
+def _layer_rows(z, x, params, config, offsets, batch):
+    """Per-sample (n_q, n_k), after the checks both layer entry points share."""
+    for t, what in ((z, "z"), (x, "x")):
+        if not (isinstance(t, Tensor) and t.ndim == 2):
+            raise ShapeMismatch(f"{what} must be a 2-D Tensor, got shape {np.shape(t)}")
     if config.heads != params.heads:
         raise ShapeMismatch(f"config has {config.heads} heads, params {params.heads}")
+    if z.shape[1] != params.channels or x.shape[1] != params.channels:
+        raise ShapeMismatch(f"inputs have {z.shape[1]}/{x.shape[1]} channels, "
+                            f"params expect {params.channels}")
+    positional = config.gates[1] or config.gates[3]
     if positional and offsets is None:
         raise ContractViolation("positional terms need an OffsetMap")
     n_q = rows_per_sample(z, batch, "z")
@@ -258,15 +254,103 @@ def attention_weights(z, x, params, config, offsets=None, mask=None, *, batch=1)
     if positional and offsets.index.shape != (n_q, n_k):
         raise ShapeMismatch(f"offset map covers {offsets.index.shape} query-key pairs, "
                             f"the inputs {(n_q, n_k)}")
+    if positional and offsets.table.shape[1:] != (params.enc_dim,):
+        raise ShapeMismatch(f"offset table of shape {offsets.table.shape} is not "
+                            f"enc_dim {params.enc_dim} wide")
+    return n_q, n_k
+
+
+def attention_weights(z, x, params, config, offsets=None, mask=None, *, batch=1):
+    """Per-head attention weight matrices, shape (batch * n_q, n_k) each:
+    one ``softmax_sum`` node per head over its ``_head_energies`` terms.
+
+    ``z`` and ``x`` stack ``batch`` samples along their rows; the rows of
+    each sample attend only to the keys of the same sample. Positional
+    terms need ``offsets`` for one sample's pairs.
+    """
+    n_q, n_k = _layer_rows(z, x, params, config, offsets, batch)
     return [softmax_sum(_head_energies(z, x, params, m, config.gates, offsets, batch),
                         (batch, n_q, n_k), mask=mask).reshape(batch * n_q, n_k)
             for m in range(params.heads)]
 
 
+def _head(z, x, ws, gates, offsets, mask, shape):
+    """One head of the layer in numpy over the whole batch: its output and
+    its VJP into z, x and the head's seven weights (None where unread)."""
+    g_qk, g_qp, g_ko, g_po = gates
+    (wq, wk, wp, cb, pb, wv, wo), (batch, n_q, n_k), d = ws, shape, len(ws[0])
+    terms = []
+    if g_qk or g_qp:
+        qe, qf = _matmul(z, wq.T)
+        qe = qe.reshape(batch, n_q, d)
+    if g_qk or g_ko:
+        ke, kf = _matmul(x, wk.T)
+        ket = ke.reshape(batch, n_k, d).swapaxes(1, 2)
+    if g_qk:
+        terms.append(_matmul(qe, ket))
+    if g_qp or g_po:
+        tbl, tf = _matmul(offsets.table, wp.T)
+        # both positional terms are one gather of qe + position bias, as in
+        # Transformer-XL's terms (b) + (d); pos_only's pairs are still charged
+        terms.append(_gather_dot(qe + pb.T if g_qp and g_po else qe if g_qp else pb.T,
+                                 tbl, offsets.index))
+        _emit(macs=(g_qp and g_po) * n_q * n_k * d)
+    if g_ko:
+        terms.append(_matmul(cb.T, ket))
+    p, sf = _softmax_sum(*(e for e, _ in terms), shape=shape, mask=mask)
+    term_fs = [f for _, f in terms]
+    v, vf = _matmul(x, wv.T)
+    h, hf = _matmul(p, v.reshape(batch, n_k, d))
+    out, of = _matmul(h.reshape(-1, d), wo)
+
+    def vjp(gy):
+        gw = [None] * 7
+        gh, gw[6] = of(gy)
+        gp, gv = hf(gh.reshape(batch, n_q, d))
+        gx, gwv = vf(gv.reshape(-1, d))
+        gz, gq, gkt, gw[5] = None, 0.0, 0.0, gwv.T
+        back = (f(g) for f, g in zip(term_fs, sf(gp) if term_fs else ()))
+        if g_qk:
+            gq, gkt = next(back)
+        if g_qp or g_po:
+            ga, gt = next(back)
+            gq = gq + ga if g_qp else gq
+            gw[4] = _unbroadcast(ga, (1, d)).T if g_po else None
+            gw[2] = tf(gt)[1].T
+        if g_ko:
+            gcb, gko = next(back)
+            gw[3], gkt = gcb.T, gkt + gko
+        if g_qk or g_qp:
+            gz, gwq = qf(gq.reshape(-1, d))
+            gw[0] = gwq.T
+        if g_qk or g_ko:
+            gxk, gwk = kf(gkt.swapaxes(1, 2).reshape(-1, d))
+            gx, gw[1] = gx + gxk, gwk.T
+        return gz, gx, gw
+
+    return out, vjp
+
+
+def _layer(z, x, *weights, gates, offsets, mask, batch):
+    """The layer in numpy, head by head: its output and its VJP into z, x and
+    ``weights``, the order of ``AttentionParams.parameters()`` less res_scale."""
+    heads = len(weights) // 7
+    shape = (batch, len(z) // batch, len(x) // batch)
+    outs, vjps = zip(*(_head(z, x, weights[m::heads], gates, offsets, mask, shape)
+                       for m in range(heads)))
+
+    def vjp(gy):
+        gz, gx, gw = zip(*(f(gy) for f in vjps))
+        return (None if gz[0] is None else sum(gz), sum(gx),
+                *(g for group in zip(*gw) for g in group))
+
+    return sum(outs), vjp
+
+
 def attention_forward(z, x, params, config, offsets=None, mask=None, mode="self",
                       residual=False, *, batch=1):
-    """Full layer: switched attention weights, low-rank value aggregation,
-    per-head output projection, optional gated residual.
+    """Full layer, one tape op up to the optional gated residual: switched
+    attention weights, low-rank value aggregation, per-head output projection.
 
     In "self" mode ``z`` and ``x`` must be the same tensor; "cross" mode
     attends from one set onto another. Both stack ``batch`` samples along
@@ -279,19 +363,9 @@ def attention_forward(z, x, params, config, offsets=None, mask=None, mode="self"
             raise ContractViolation("self mode requires z and x to be the same tensor")
     elif mode != "cross":
         raise ContractViolation(f"mode must be 'self' or 'cross', got {mode!r}")
-    if z.shape[1] != params.channels or x.shape[1] != params.channels:
-        raise ShapeMismatch(
-            f"inputs have {z.shape[1]}/{x.shape[1]} channels, params expect {params.channels}"
-        )
-    weights = attention_weights(z, x, params, config, offsets, mask, batch=batch)
-    n_q = rows_per_sample(z, batch, "z")
-    n_k = rows_per_sample(x, batch, "x")
-    y = None
-    for m in range(params.heads):
-        vm = (x @ params.value_proj[m].T).reshape(batch, n_k, params.head_dim)
-        head = (weights[m].reshape(batch, n_q, n_k) @ vm).reshape(batch * n_q, params.head_dim)
-        contrib = head @ params.out_proj[m]
-        y = contrib if y is None else y + contrib
+    _layer_rows(z, x, params, config, offsets, batch)
+    y = vjp_op(_layer, (z, x, *params.parameters()[:-1]), gates=config.gates,
+               offsets=offsets, mask=mask, batch=batch)
     if residual:
         return z + y * params.res_scale
     return y

@@ -147,11 +147,11 @@ def check_gradients():
     rng = Rng(7)
     params = AttentionParams(4, 2, enc_dim=4, rng=rng.child(0))
     offsets = offset_map_2d(2, 2, enc_dim=4)
-    x = Tensor(rng.normal((4, 4)))
+    x = Tensor(rng.normal((4, 4)), requires_grad=True)
     config = AttentionConfig.from_beta("1111", heads=2)
     err = finite_diff_check(
         lambda: attention_forward(x, x, params, config, offsets=offsets),
-        params.parameters())
+        params.parameters() + [x])
     assert err <= 1e-4
 
 

@@ -73,6 +73,8 @@ def no_grad():
 
 def _unbroadcast(grad, shape):
     """Reduce a broadcast gradient back to the operand's shape."""
+    if grad.shape == shape:
+        return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -214,17 +216,10 @@ class Tensor:
         if self.shape[-1] != other.shape[-2]:
             raise ShapeMismatch(f"matmul inner dims differ: {self.shape} @ {other.shape}")
         try:
-            data = self.data @ other.data
+            return vjp_op(_matmul, (self, other))
         except ValueError as exc:
             raise ShapeMismatch(f"matmul leading dims do not broadcast: "
                                 f"{self.shape} @ {other.shape}") from exc
-        _emit(macs=data.size * self.shape[-1])
-
-        def backward(g):
-            self._accum(_unbroadcast(g @ np.swapaxes(other.data, -1, -2), self.shape))
-            other._accum(_unbroadcast(np.swapaxes(self.data, -1, -2) @ g, other.shape))
-
-        return Tensor._from_op(data, (self, other), backward)
 
     # -- shape ops ------------------------------------------------------------
 
@@ -318,7 +313,7 @@ class Tensor:
     # -- autodiff ----------------------------------------------------------------
 
     def _accum(self, g):
-        if not (self.requires_grad or self._parents):
+        if g is None or not (self.requires_grad or self._parents):
             return
         if g.shape != self.data.shape:
             raise ShapeMismatch(f"gradient of shape {g.shape} for a tensor of shape {self.shape}")
@@ -362,18 +357,32 @@ class Tensor:
                 node.grad = None
 
 
-def softmax_sum(terms, shape, axis=-1, mask=None):
-    """Softmax along ``axis`` of the sum of ``terms`` broadcast to ``shape``
-    (zeros when there are none), as one tape op. The terms are added in
-    order into one fresh C-order buffer, and the mask (-inf where invalid,
-    so those entries come out exactly zero), the max subtraction, the exp
-    and the division run in place on it. A fully masked slice raises
-    DegenerateRegion. Each term gets the gradient reduced to its shape.
-    """
+def vjp_op(fn, tensors, **static):
+    """Record ``fn`` as one tape op over ``tensors``: ``fn(*arrays, **static)``
+    returns the value and its VJP, one gradient (or None) per tensor."""
+    data, vjp = fn(*(t.data for t in tensors), **static)
+
+    def backward(g):
+        for t, gt in zip(tensors, vjp(g)):
+            t._accum(gt)
+
+    return Tensor._from_op(data, tensors, backward)
+
+
+def _matmul(a, b):
+    """numpy body of ``Tensor.__matmul__``: ``a @ b`` and its VJP."""
+    data = a @ b
+    _emit(macs=data.size * a.shape[-1])
+    return data, lambda g: (_unbroadcast(g @ b.swapaxes(-1, -2), a.shape),
+                            _unbroadcast(a.swapaxes(-1, -2) @ g, b.shape))
+
+
+def _softmax_sum(*terms, shape, axis=-1, mask=None):
+    """numpy body of ``softmax_sum``: its value and its VJP."""
     data = np.zeros(shape)
     try:
         for t in terms:
-            data += t.data
+            data += t
     except ValueError as exc:
         raise ShapeMismatch(f"energy terms of shapes {[t.shape for t in terms]} do not "
                             f"broadcast to {data.shape}") from exc
@@ -392,18 +401,78 @@ def softmax_sum(terms, shape, axis=-1, mask=None):
     np.exp(data, out=data)
     data /= data.sum(axis=axis, keepdims=True)
     _emit(exps=data.size, divs=data.size)
+    shapes = [t.shape for t in terms]
 
-    def backward(g):
-        gx = data * (g - (g * data).sum(axis=axis, keepdims=True))
-        for t in terms:
-            t._accum(_unbroadcast(gx, t.shape))
+    def vjp(g):
+        gx = g - (g * data).sum(axis=axis, keepdims=True)
+        gx *= data
+        return [_unbroadcast(gx, s) for s in shapes]
 
-    return Tensor._from_op(data, terms, backward)
+    return data, vjp
+
+
+def softmax_sum(terms, shape, axis=-1, mask=None):
+    """Softmax along ``axis`` of the sum of ``terms`` broadcast to ``shape``
+    (zeros when there are none), as one tape op. The terms are added in
+    order into one fresh C-order buffer, and the mask (-inf where invalid,
+    so those entries come out exactly zero), the max subtraction, the exp
+    and the division run in place on it. A fully masked slice raises
+    DegenerateRegion. Each term gets the gradient reduced to its shape.
+    """
+    return vjp_op(_softmax_sum, terms, shape=shape, axis=axis, mask=mask)
 
 
 # query rows whose (rows, n_offsets) profile gather_dot holds at once,
 # in the forward and in the backward's per-offset sums
 GATHER_DOT_ROWS = 32
+
+
+def _gather_dot(a, table, index):
+    """numpy body of ``gather_dot``: its value and its VJP."""
+    if a.ndim < 2 or table.ndim != 2 or a.shape[-1] != table.shape[1]:
+        raise ShapeMismatch(f"gather_dot needs (..., n, d) and (n_offsets, d) operands, "
+                            f"got {a.shape} and {table.shape}")
+    n_off, d = table.shape
+    idx = _row_index(index, n_off)
+    if idx.ndim != 2:
+        raise ContractViolation(f"gather_dot needs an (n_q, n_k) index, got shape {idx.shape}")
+    n_q, n_k = idx.shape
+    rows = a.shape[-2]
+    if rows not in (1, n_q):
+        raise ShapeMismatch(f"gather_dot: {rows} rows of a for {n_q} queries")
+    a2 = a.reshape(-1, rows, d)
+    step = n_q if rows == 1 else GATHER_DOT_ROWS
+
+    def blocks():
+        """Each block's query slice, its rows of a2, and its pairs' flat
+        positions in the block's (rows, n_offsets) profile."""
+        for lo in range(0, n_q, step):
+            qs = slice(lo, lo + step)
+            ab = a2[:, qs]
+            flat = idx[qs] if rows == 1 else idx[qs] + np.arange(ab.shape[1])[:, None] * n_off
+            yield qs, ab, flat
+
+    data = np.empty((len(a2), n_q, n_k))
+    for qs, ab, flat in blocks():
+        profile = ab @ table.T
+        # every position is in range; "clip" lets take write into out directly
+        np.take(profile.reshape(len(ab), -1), flat, axis=1, out=data[:, qs], mode="clip")
+    data = data.reshape(a.shape[:-2] + (n_q, n_k))
+    _emit(macs=data.size * d)
+
+    def vjp(g):
+        g2 = g.reshape(-1, n_q, n_k)
+        ga = np.empty(a2.shape)
+        gt = np.zeros(table.shape)
+        for qs, ab, flat in blocks():
+            size = ab.shape[1] * n_off
+            pos = flat.ravel() + size * np.arange(len(ab))[:, None]
+            s = np.bincount(pos.ravel(), weights=g2[:, qs].ravel(), minlength=len(ab) * size)
+            ga[:, qs] = s.reshape(len(ab), -1, n_off) @ table
+            gt += s.reshape(-1, n_off).T @ ab.reshape(-1, d)
+        return ga.reshape(a.shape), gt
+
+    return data, vjp
 
 
 def gather_dot(a, table, index):
@@ -418,62 +487,18 @@ def gather_dot(a, table, index):
     time, or the shared row as one block of one row. The forward projects
     each block onto every offset, a (rows, n_offsets) profile
     ``a_block @ table.T``, and picks pair (q, k) at flat position
-    ``row * n_offsets + index[q, k]``. The backward sums each batch
-    entry's output gradient into those same positions with one bincount
-    per block, giving S, and finishes the block with ``S @ table`` and
-    ``S.T @ a_block``. So neither pass holds an (n_q, n_k, d) gather or
-    a whole (n_q, n_offsets) profile.
+    ``row * n_offsets + index[q, k]``. The backward sums the output
+    gradient into those same positions, one profile per batch entry, with
+    one bincount per block, giving S, and finishes the block with
+    ``S @ table`` and ``S.T @ a_block``. So neither pass holds an
+    (n_q, n_k, d) gather or a whole (n_q, n_offsets) profile.
 
     The op is charged ``n_q * n_k * d`` MACs per batch entry, one per
     pair and channel, as the cost model counts it. That is the per-pair
     count, not the profile's arithmetic, which is ``n_q * n_offsets * d``
     multiplies for per-query rows and ``n_offsets * d`` for a shared row.
     """
-    if a.ndim < 2 or table.ndim != 2 or a.shape[-1] != table.shape[1]:
-        raise ShapeMismatch(f"gather_dot needs (..., n, d) and (n_offsets, d) operands, "
-                            f"got {a.shape} and {table.shape}")
-    n_off, d = table.shape
-    idx = _row_index(index, n_off)
-    if idx.ndim != 2:
-        raise ContractViolation(f"gather_dot needs an (n_q, n_k) index, got shape {idx.shape}")
-    n_q, n_k = idx.shape
-    rows = a.shape[-2]
-    if rows not in (1, n_q):
-        raise ShapeMismatch(f"gather_dot: {rows} rows of a for {n_q} queries")
-    a2 = a.data.reshape(-1, rows, d)
-    step = n_q if rows == 1 else GATHER_DOT_ROWS
-
-    def blocks():
-        """Each block's query slice, its rows of a2, and its pairs' flat
-        positions in the block's (rows, n_offsets) profile."""
-        for lo in range(0, n_q, step):
-            qs = slice(lo, lo + step)
-            ab = a2[:, qs]
-            flat = idx[qs] if rows == 1 else idx[qs] + np.arange(ab.shape[1])[:, None] * n_off
-            yield qs, ab, flat
-
-    data = np.empty((len(a2), n_q, n_k))
-    for qs, ab, flat in blocks():
-        profile = ab @ table.data.T
-        # every position is in range; "clip" lets take write into out directly
-        np.take(profile.reshape(len(ab), -1), flat, axis=1, out=data[:, qs], mode="clip")
-    data = data.reshape(a.shape[:-2] + (n_q, n_k))
-    _emit(macs=data.size * d)
-
-    def backward(g):
-        g2 = g.reshape(-1, n_q, n_k)
-        ga = np.empty(a2.shape)
-        gt = np.zeros(table.shape)
-        for qs, ab, flat in blocks():
-            for b in range(len(ab)):
-                s = np.bincount(flat.ravel(), weights=g2[b, qs].ravel(),
-                                minlength=ab.shape[1] * n_off).reshape(-1, n_off)
-                ga[b, qs] = s @ table.data
-                gt += s.T @ ab[b]
-        a._accum(ga.reshape(a.shape))
-        table._accum(gt)
-
-    return Tensor._from_op(data, (a, table), backward)
+    return vjp_op(_gather_dot, (a, table), index=index)
 
 
 class Rng:
