@@ -10,16 +10,17 @@ projection and the two key-driven terms the key projection; the two
 positional terms dot a vector with the projected table row of each
 query-key pair (``tensor.gather_dot``).
 
-The math has one numpy body each in ``tensor``, returning a value and its
-vector-Jacobian product (VJP): the matmul, the gather and the masked
-softmax over a sum of terms. ``attention_forward`` is one tape op over
-them: its forward runs one head at a time over the whole batch and keeps
+The energy terms are computed in one place, ``_head_terms``, in numpy:
+a head's projections, each run once for the terms that read it, and its
+active terms through the numpy bodies of ``tensor`` (``_matmul``,
+``_gather_dot``), each with its vector-Jacobian product (VJP).
+``attention_forward`` is one tape op over it: its forward runs one head
+at a time over the whole batch through the terms, the masked in-place
+softmax (``_softmax_sum``), the values and the output projection, keeps
 each head's (batch, n_q, n_k) weights and small projections, and its
 backward is the hand-written VJP into the per-head parameters, ``z`` and
-``x``. With both positional terms on it gathers the table once against
-the query plus the position bias, as Transformer-XL computes its terms
-(b) and (d). ``attention_weights`` and the one-term views
-(``query_key_energy``, ...) are tape views over the same bodies: one tape
+``x``. ``attention_weights`` and the one-term views
+(``query_key_energy``, ...) are tape views over the same terms: one tape
 node per term, one ``softmax_sum`` node per head.
 """
 
@@ -31,8 +32,8 @@ import numpy as np
 
 from .errors import ContractViolation, ShapeMismatch, positive_int
 from .relpos import cells, encode, flat_index
-from .tensor import (Rng, Tensor, _emit, _gather_dot, _matmul, _softmax_sum, _unbroadcast,
-                     gather_dot, rows_per_sample, softmax_sum, vjp_op)
+from .tensor import (Rng, Tensor, _gather_dot, _matmul, _softmax_sum, rows_per_sample,
+                     softmax_sum, vjp_op)
 
 
 @dataclass(frozen=True)
@@ -174,29 +175,62 @@ def causal_mask(offsets: OffsetMap):
 # -- the energy stage ----------------------------------------------------------
 
 
-def _head_energies(z, x, params, m, gates, offsets=None, batch=1):
-    """Head m's active energy terms in term order, each in its own shape:
+# per term in term order, its numpy body and the two head operands it reads:
+# the projected queries "q" (batch, n_q, d) and keys "kt" (batch, d, n_k),
+# the projected offset table "tbl" and the probe vectors "cb" and "pb" (1, d)
+_TERMS = ((_matmul, "q", "kt"), (_gather_dot, "q", "tbl"),
+          (_matmul, "cb", "kt"), (_gather_dot, "pb", "tbl"))
+
+
+def _head_terms(z, x, wq, wk, wp, cb, pb, *, gates, offsets, batch):
+    """Head's active energy terms in numpy, the one place they are computed:
     query_key and query_pos (batch, n_q, n_k), key_only one (batch, 1, n_k)
     row per sample and pos_only one (n_q, n_k) grid for the whole batch.
+
+    Returns the term values, one VJP per term from its gradient to those of
+    the operands it reads (a dict by name), and ``project``, which takes the
+    summed operand gradients to those of (z, x, wq, wk, wp, cb, pb). Each
+    projection runs once for all the terms that read it.
     """
-    g_qk, g_qp, g_ko, g_po = gates
-    d = params.head_dim
-    if g_qk or g_qp:
-        qe = (z @ params.query_embed[m].T).reshape(batch, -1, d)
-    if g_qk or g_ko:
-        ket = (x @ params.key_embed_[m].T).reshape(batch, -1, d).T
-    if g_qp or g_po:
-        tbl = Tensor(offsets.table) @ params.pos_embed[m].T
-    terms = []
-    if g_qk:
-        terms.append(qe @ ket)
-    if g_qp:
-        terms.append(gather_dot(qe, tbl, offsets.index))
-    if g_ko:
-        terms.append(params.content_bias[m].T @ ket)
-    if g_po:
-        terms.append(gather_dot(params.position_bias[m].reshape(1, d), tbl, offsets.index))
-    return terms
+    active = [term for term, on in zip(_TERMS, gates) if on]
+    need = {name for _, *names in active for name in names}
+    ops, d = {"cb": cb.T, "pb": pb.T}, len(wq)
+    if "q" in need:
+        q, qf = _matmul(z, wq.T)
+        ops["q"] = q.reshape(batch, -1, d)
+    if "kt" in need:
+        k, kf = _matmul(x, wk.T)
+        ops["kt"] = k.reshape(batch, -1, d).swapaxes(1, 2)
+    if "tbl" in need:
+        ops["tbl"], tf = _matmul(offsets.table, wp.T)
+    values, vjps = [], []
+    for body, a, b in active:
+        value, f = body(ops[a], ops[b], **({"index": offsets.index} if body is _gather_dot else {}))
+        values.append(value)
+        vjps.append(lambda g, f=f, names=(a, b): dict(zip(names, f(g))))
+
+    def project(grads):
+        gz = gx = gwq = gwk = gwp = None
+        if "q" in grads:
+            gz, gwq = qf(grads["q"].reshape(-1, d))
+        if "kt" in grads:
+            gx, gwk = kf(grads["kt"].swapaxes(1, 2).reshape(-1, d))
+        if "tbl" in grads:
+            gwp = tf(grads["tbl"])[1]
+        return (gz, gx, *(None if g is None else g.T for g in (gwq, gwk, gwp)),
+                *(grads[n].T if n in grads else None for n in ("cb", "pb")))
+
+    return values, vjps, project
+
+
+def _head_energies(z, x, params, m, gates, offsets=None, batch=1):
+    """Head m's active energy terms as tape nodes over z, x and the head's
+    energy weights, one per term, from ``_head_terms``."""
+    inputs = (z, x, params.query_embed[m], params.key_embed_[m], params.pos_embed[m],
+              params.content_bias[m], params.position_bias[m])
+    values, vjps, project = _head_terms(*(None if t is None else t.data for t in inputs),
+                                        gates=gates, offsets=offsets, batch=batch)
+    return [vjp_op(v, lambda g, f=f: project(f(g)), inputs) for v, f in zip(values, vjps)]
 
 
 def _one_term(term, params, z=None, x=None, offsets=None):
@@ -274,59 +308,27 @@ def attention_weights(z, x, params, config, offsets=None, mask=None, *, batch=1)
             for m in range(params.heads)]
 
 
-def _head(z, x, ws, gates, offsets, mask, shape):
+def _head(z, x, wq, wk, wp, cb, pb, wv, wo, *, gates, offsets, mask, shape):
     """One head of the layer in numpy over the whole batch: its output and
     its VJP into z, x and the head's seven weights (None where unread)."""
-    g_qk, g_qp, g_ko, g_po = gates
-    (wq, wk, wp, cb, pb, wv, wo), (batch, n_q, n_k), d = ws, shape, len(ws[0])
-    terms = []
-    if g_qk or g_qp:
-        qe, qf = _matmul(z, wq.T)
-        qe = qe.reshape(batch, n_q, d)
-    if g_qk or g_ko:
-        ke, kf = _matmul(x, wk.T)
-        ket = ke.reshape(batch, n_k, d).swapaxes(1, 2)
-    if g_qk:
-        terms.append(_matmul(qe, ket))
-    if g_qp or g_po:
-        tbl, tf = _matmul(offsets.table, wp.T)
-        # both positional terms are one gather of qe + position bias, as in
-        # Transformer-XL's terms (b) + (d); pos_only's pairs are still charged
-        terms.append(_gather_dot(qe + pb.T if g_qp and g_po else qe if g_qp else pb.T,
-                                 tbl, offsets.index))
-        _emit(macs=(g_qp and g_po) * n_q * n_k * d)
-    if g_ko:
-        terms.append(_matmul(cb.T, ket))
-    p, sf = _softmax_sum(*(e for e, _ in terms), shape=shape, mask=mask)
-    term_fs = [f for _, f in terms]
+    (batch, n_q, n_k), d = shape, len(wq)
+    values, vjps, project = _head_terms(z, x, wq, wk, wp, cb, pb, gates=gates,
+                                        offsets=offsets, batch=batch)
+    p, sf = _softmax_sum(*values, shape=shape, mask=mask)
     v, vf = _matmul(x, wv.T)
     h, hf = _matmul(p, v.reshape(batch, n_k, d))
     out, of = _matmul(h.reshape(-1, d), wo)
 
     def vjp(gy):
-        gw = [None] * 7
-        gh, gw[6] = of(gy)
+        gh, gwo = of(gy)
         gp, gv = hf(gh.reshape(batch, n_q, d))
-        gx, gwv = vf(gv.reshape(-1, d))
-        gz, gq, gkt, gw[5] = None, 0.0, 0.0, gwv.T
-        back = (f(g) for f, g in zip(term_fs, sf(gp) if term_fs else ()))
-        if g_qk:
-            gq, gkt = next(back)
-        if g_qp or g_po:
-            ga, gt = next(back)
-            gq = gq + ga if g_qp else gq
-            gw[4] = _unbroadcast(ga, (1, d)).T if g_po else None
-            gw[2] = tf(gt)[1].T
-        if g_ko:
-            gcb, gko = next(back)
-            gw[3], gkt = gcb.T, gkt + gko
-        if g_qk or g_qp:
-            gz, gwq = qf(gq.reshape(-1, d))
-            gw[0] = gwq.T
-        if g_qk or g_ko:
-            gxk, gwk = kf(gkt.swapaxes(1, 2).reshape(-1, d))
-            gx, gw[1] = gx + gxk, gwk.T
-        return gz, gx, gw
+        gxv, gwv = vf(gv.reshape(-1, d))
+        grads = {}
+        for f, g in zip(vjps, sf(gp)):
+            for name, gn in f(g).items():
+                grads[name] = grads[name] + gn if name in grads else gn
+        gz, gx, *gw = project(grads)
+        return gz, gxv if gx is None else gx + gxv, *gw, gwv.T, gwo
 
     return out, vjp
 
@@ -336,13 +338,12 @@ def _layer(z, x, *weights, gates, offsets, mask, batch):
     ``weights``, the order of ``AttentionParams.parameters()`` less res_scale."""
     heads = len(weights) // 7
     shape = (batch, len(z) // batch, len(x) // batch)
-    outs, vjps = zip(*(_head(z, x, weights[m::heads], gates, offsets, mask, shape)
-                       for m in range(heads)))
+    outs, vjps = zip(*(_head(z, x, *weights[m::heads], gates=gates, offsets=offsets,
+                             mask=mask, shape=shape) for m in range(heads)))
 
     def vjp(gy):
-        gz, gx, gw = zip(*(f(gy) for f in vjps))
-        return (None if gz[0] is None else sum(gz), sum(gx),
-                *(g for group in zip(*gw) for g in group))
+        gz, gx, *gw = zip(*(f(gy) for f in vjps))
+        return None if gz[0] is None else sum(gz), sum(gx), *(g for kind in gw for g in kind)
 
     return sum(outs), vjp
 
@@ -364,8 +365,9 @@ def attention_forward(z, x, params, config, offsets=None, mask=None, mode="self"
     elif mode != "cross":
         raise ContractViolation(f"mode must be 'self' or 'cross', got {mode!r}")
     _layer_rows(z, x, params, config, offsets, batch)
-    y = vjp_op(_layer, (z, x, *params.parameters()[:-1]), gates=config.gates,
-               offsets=offsets, mask=mask, batch=batch)
+    inputs = (z, x, *params.parameters()[:-1])
+    y = vjp_op(*_layer(*(t.data for t in inputs), gates=config.gates, offsets=offsets,
+                       mask=mask, batch=batch), inputs)
     if residual:
         return z + y * params.res_scale
     return y

@@ -13,8 +13,8 @@ counts, and the tests require the two to match with no tolerance. The
 two positional terms are charged ``n_q * n_k * d`` per query-key pair,
 although ``tensor.gather_dot`` computes them from a per-offset profile
 (``n_q * n_offsets * d`` multiplies for query_pos, ``n_offsets * d`` for
-pos_only, one gather for both in the layer) and then reads it per pair;
-the charge keeps the quadratic portion of the cost model visible.
+pos_only) and then reads it per pair: the pair grid is still traversed,
+and the charge keeps the quadratic portion of the cost model visible.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Minimal dense tensor with reverse-mode autodiff on numpy.
 
 Everything is float64 and row-major. Each operation returns a fresh
-tensor and records a backward closure, so the tape is rebuilt on every
-forward pass; ``backward`` walks it once in reverse topological order.
-Inside a ``no_grad()`` block nothing is recorded.
+tensor and records its vector-Jacobian product (VJP) through one
+recorder, ``vjp_op``, so the tape is rebuilt on every forward pass;
+``backward`` walks it once in reverse topological order. Inside a
+``no_grad()`` block nothing is recorded.
 
 Multiply-accumulate counting: while a ``counting()`` context is active,
 every forward operation reports its scalar multiplies as MACs (additions
@@ -133,7 +134,7 @@ class Tensor:
         out = Tensor(data)
         if _paused:
             return out
-        tracked = tuple(p for p in parents if p.requires_grad or p._parents)
+        tracked = tuple(p for p in parents if p is not None and (p.requires_grad or p._parents))
         if tracked:
             out._parents = tracked
             out._backward = backward
@@ -142,7 +143,7 @@ class Tensor:
     def _unary(self, data, grad):
         """A single-input op with value ``data``; ``grad(g)`` is its
         vector-Jacobian product, the gradient it passes back to self."""
-        return Tensor._from_op(data, (self,), lambda g: self._accum(grad(g)))
+        return vjp_op(data, lambda g: (grad(g),), (self,))
 
     @property
     def shape(self):
@@ -166,13 +167,8 @@ class Tensor:
 
     def __add__(self, other):
         other = _as_tensor(other)
-        data = self.data + other.data
-
-        def backward(g):
-            self._accum(_unbroadcast(g, self.shape))
-            other._accum(_unbroadcast(g, other.shape))
-
-        return Tensor._from_op(data, (self, other), backward)
+        return vjp_op(self.data + other.data, lambda g: (
+            _unbroadcast(g, self.shape), _unbroadcast(g, other.shape)), (self, other))
 
     __radd__ = __add__
 
@@ -189,12 +185,8 @@ class Tensor:
         other = _as_tensor(other)
         data = self.data * other.data
         _emit(macs=data.size)
-
-        def backward(g):
-            self._accum(_unbroadcast(g * other.data, self.shape))
-            other._accum(_unbroadcast(g * self.data, other.shape))
-
-        return Tensor._from_op(data, (self, other), backward)
+        return vjp_op(data, lambda g: (_unbroadcast(g * other.data, self.shape),
+                                       _unbroadcast(g * self.data, other.shape)), (self, other))
 
     __rmul__ = __mul__
 
@@ -216,7 +208,7 @@ class Tensor:
         if self.shape[-1] != other.shape[-2]:
             raise ShapeMismatch(f"matmul inner dims differ: {self.shape} @ {other.shape}")
         try:
-            return vjp_op(_matmul, (self, other))
+            return vjp_op(*_matmul(self.data, other.data), (self, other))
         except ValueError as exc:
             raise ShapeMismatch(f"matmul leading dims do not broadcast: "
                                 f"{self.shape} @ {other.shape}") from exc
@@ -313,7 +305,7 @@ class Tensor:
     # -- autodiff ----------------------------------------------------------------
 
     def _accum(self, g):
-        if g is None or not (self.requires_grad or self._parents):
+        if not (self.requires_grad or self._parents):
             return
         if g.shape != self.data.shape:
             raise ShapeMismatch(f"gradient of shape {g.shape} for a tensor of shape {self.shape}")
@@ -357,16 +349,17 @@ class Tensor:
                 node.grad = None
 
 
-def vjp_op(fn, tensors, **static):
-    """Record ``fn`` as one tape op over ``tensors``: ``fn(*arrays, **static)``
-    returns the value and its VJP, one gradient (or None) per tensor."""
-    data, vjp = fn(*(t.data for t in tensors), **static)
-
+def vjp_op(data, vjp, inputs):
+    """Record one tape op over ``inputs`` with value ``data``: ``vjp(g)``
+    gives one gradient per input, None for an input that is None or that
+    the op does not read. Every op of the package is recorded here, most
+    from a numpy body (``_matmul``, ...) that returns its value and VJP."""
     def backward(g):
-        for t, gt in zip(tensors, vjp(g)):
-            t._accum(gt)
+        for t, gt in zip(inputs, vjp(g)):
+            if gt is not None:
+                t._accum(gt)
 
-    return Tensor._from_op(data, tensors, backward)
+    return Tensor._from_op(data, inputs, backward)
 
 
 def _matmul(a, b):
@@ -419,7 +412,8 @@ def softmax_sum(terms, shape, axis=-1, mask=None):
     and the division run in place on it. A fully masked slice raises
     DegenerateRegion. Each term gets the gradient reduced to its shape.
     """
-    return vjp_op(_softmax_sum, terms, shape=shape, axis=axis, mask=mask)
+    return vjp_op(*_softmax_sum(*(t.data for t in terms), shape=shape, axis=axis, mask=mask),
+                  terms)
 
 
 # query rows whose (rows, n_offsets) profile gather_dot holds at once,
@@ -465,11 +459,11 @@ def _gather_dot(a, table, index):
         ga = np.empty(a2.shape)
         gt = np.zeros(table.shape)
         for qs, ab, flat in blocks():
-            size = ab.shape[1] * n_off
-            pos = flat.ravel() + size * np.arange(len(ab))[:, None]
-            s = np.bincount(pos.ravel(), weights=g2[:, qs].ravel(), minlength=len(ab) * size)
-            ga[:, qs] = s.reshape(len(ab), -1, n_off) @ table
-            gt += s.reshape(-1, n_off).T @ ab.reshape(-1, d)
+            for b in range(len(ab)):
+                s = np.bincount(flat.ravel(), weights=g2[b, qs].ravel(),
+                                minlength=ab.shape[1] * n_off).reshape(-1, n_off)
+                ga[b, qs] = s @ table
+                gt += s.T @ ab[b]
         return ga.reshape(a.shape), gt
 
     return data, vjp
@@ -487,18 +481,18 @@ def gather_dot(a, table, index):
     time, or the shared row as one block of one row. The forward projects
     each block onto every offset, a (rows, n_offsets) profile
     ``a_block @ table.T``, and picks pair (q, k) at flat position
-    ``row * n_offsets + index[q, k]``. The backward sums the output
-    gradient into those same positions, one profile per batch entry, with
-    one bincount per block, giving S, and finishes the block with
-    ``S @ table`` and ``S.T @ a_block``. So neither pass holds an
-    (n_q, n_k, d) gather or a whole (n_q, n_offsets) profile.
+    ``row * n_offsets + index[q, k]``. The backward sums each batch
+    entry's output gradient into those same positions with one bincount
+    per block, giving S, and finishes the block with ``S @ table`` and
+    ``S.T @ a_block``. So neither pass holds an (n_q, n_k, d) gather or
+    a whole (n_q, n_offsets) profile.
 
     The op is charged ``n_q * n_k * d`` MACs per batch entry, one per
     pair and channel, as the cost model counts it. That is the per-pair
     count, not the profile's arithmetic, which is ``n_q * n_offsets * d``
     multiplies for per-query rows and ``n_offsets * d`` for a shared row.
     """
-    return vjp_op(_gather_dot, (a, table), index=index)
+    return vjp_op(*_gather_dot(a.data, table.data, index), (a, table))
 
 
 class Rng:
