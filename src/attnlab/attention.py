@@ -10,18 +10,16 @@ projection and the two key-driven terms the key projection; the two
 positional terms dot a vector with the projected table row of each
 query-key pair (``tensor.gather_dot``).
 
-The energy terms are computed in one place, ``_head_terms``, in numpy:
-a head's projections, each run once for the terms that read it, and its
-active terms through the numpy bodies of ``tensor`` (``_matmul``,
-``_gather_dot``), each with its vector-Jacobian product (VJP).
-``attention_forward`` is one tape op over it: its forward runs one head
-at a time over the whole batch through the terms, the masked in-place
-softmax (``_softmax_sum``), the values and the output projection, keeps
-each head's (batch, n_q, n_k) weights and small projections, and its
-backward is the hand-written VJP into the per-head parameters, ``z`` and
-``x``. ``attention_weights`` and the one-term views
-(``query_key_energy``, ...) are tape views over the same terms: one tape
-node per term, one ``softmax_sum`` node per head.
+Heads are an axis: each weight kind is one (heads, d, ·) tensor whose row
+m is head m. The terms are computed in one place, ``_head_terms``, in
+numpy through the bodies of ``tensor`` (``_matmul``, ``_gather_dot``),
+each with its vector-Jacobian product (VJP); each projection runs once for
+all heads. ``attention_forward`` is one tape op over it: the grid-sized
+work (terms, the masked in-place ``_softmax_sum``, the values) runs one
+head at a time over the whole batch, and its backward is the hand-written
+VJP into the packed weights, ``z`` and ``x``. ``attention_weights`` and
+the one-term views (``query_key_energy``, ...) are tape views over the
+same terms: one tape node per term, one ``softmax_sum`` node per head.
 """
 
 from __future__ import annotations
@@ -69,7 +67,8 @@ class AttentionConfig:
 
 
 class AttentionParams:
-    """Per-head projections for the four-term attention.
+    """Weights of the four-term attention, one (heads, head_dim, ·) tensor
+    per kind whose row m is head m, so ``parameters()`` is eight tensors.
 
     query_embed and key_embed_ are the shared content projections,
     pos_embed maps encoded offsets into head space, content_bias and
@@ -92,18 +91,18 @@ class AttentionParams:
         self.enc_dim = enc_dim
         self.head_dim = channels // heads
         d, c, p = self.head_dim, channels, enc_dim
-        self.query_embed = [rng.param((d, c), fan_in=c) for _ in range(heads)]
-        self.key_embed_ = [rng.param((d, c), fan_in=c) for _ in range(heads)]
-        self.pos_embed = [rng.param((d, p), fan_in=p) for _ in range(heads)]
-        self.content_bias = [rng.param((d, 1), fan_in=d) for _ in range(heads)]
-        self.position_bias = [rng.param((d, 1), fan_in=d) for _ in range(heads)]
-        self.value_proj = [rng.param((d, c), fan_in=c) for _ in range(heads)]
-        self.out_proj = [rng.param((d, c), fan_in=d) for _ in range(heads)]
+        self.query_embed = rng.param((heads, d, c), fan_in=c)
+        self.key_embed_ = rng.param((heads, d, c), fan_in=c)
+        self.pos_embed = rng.param((heads, d, p), fan_in=p)
+        self.content_bias = rng.param((heads, d, 1), fan_in=d)
+        self.position_bias = rng.param((heads, d, 1), fan_in=d)
+        self.value_proj = rng.param((heads, d, c), fan_in=c)
+        self.out_proj = rng.param((heads, d, c), fan_in=d)
         self.res_scale = Tensor(0.0, requires_grad=True)
 
     def parameters(self):
-        return [*self.query_embed, *self.key_embed_, *self.pos_embed, *self.content_bias,
-                *self.position_bias, *self.value_proj, *self.out_proj, self.res_scale]
+        return [self.query_embed, self.key_embed_, self.pos_embed, self.content_bias,
+                self.position_bias, self.value_proj, self.out_proj, self.res_scale]
 
 
 @dataclass
@@ -183,54 +182,58 @@ _TERMS = ((_matmul, "q", "kt"), (_gather_dot, "q", "tbl"),
 
 
 def _head_terms(z, x, wq, wk, wp, cb, pb, *, gates, offsets, batch):
-    """Head's active energy terms in numpy, the one place they are computed:
-    query_key and query_pos (batch, n_q, n_k), key_only one (batch, 1, n_k)
-    row per sample and pos_only one (n_q, n_k) grid for the whole batch.
-
-    Returns the term values, one VJP per term from its gradient to those of
-    the operands it reads (a dict by name), and ``project``, which takes the
-    summed operand gradients to those of (z, x, wq, wk, wp, cb, pb). Each
-    projection runs once for all the terms that read it.
-    """
+    """The active energy terms in numpy, the one place they are computed:
+    per head, query_key and query_pos (batch, n_q, n_k), key_only one
+    (batch, 1, n_k) row per sample and pos_only one (n_q, n_k) grid for the
+    whole batch. Each projection runs once for all heads and terms. Returns
+    ``terms(m)``, head m's term values and per term a VJP to (name, gradient)
+    pairs of the operands it reads, and ``project``, from one list of pairs
+    per head to the packed gradients of (z, x, wq, wk, wp, cb, pb)."""
     active = [term for term, on in zip(_TERMS, gates) if on]
     need = {name for _, *names in active for name in names}
-    ops, d = {"cb": cb.T, "pb": pb.T}, len(wq)
+    (heads, d), ops = wq.shape[:2], {"cb": cb.swapaxes(1, 2), "pb": pb.swapaxes(1, 2)}
     if "q" in need:
-        q, qf = _matmul(z, wq.T)
-        ops["q"] = q.reshape(batch, -1, d)
+        q, qf = _matmul(z, wq.swapaxes(1, 2))
+        ops["q"] = q.reshape(heads, batch, -1, d)
     if "kt" in need:
-        k, kf = _matmul(x, wk.T)
-        ops["kt"] = k.reshape(batch, -1, d).swapaxes(1, 2)
+        k, kf = _matmul(x, wk.swapaxes(1, 2))
+        ops["kt"] = k.reshape(heads, batch, -1, d).swapaxes(2, 3)
     if "tbl" in need:
-        ops["tbl"], tf = _matmul(offsets.table, wp.T)
-    values, vjps = [], []
-    for body, a, b in active:
-        value, f = body(ops[a], ops[b], **({"index": offsets.index} if body is _gather_dot else {}))
-        values.append(value)
-        vjps.append(lambda g, f=f, names=(a, b): dict(zip(names, f(g))))
+        ops["tbl"], tf = _matmul(offsets.table, wp.swapaxes(1, 2))
 
-    def project(grads):
+    def terms(m):
+        values, vjps = [], []
+        for body, a, b in active:
+            value, f = body(ops[a][m], ops[b][m], *([offsets.index] if body is _gather_dot else []))
+            values.append(value)
+            vjps.append(lambda g, f=f, names=(a, b): list(zip(names, f(g))))
+        return values, vjps
+
+    def project(per_head):
+        grads = {name: np.zeros(ops[name].shape) for pairs in per_head for name, _ in pairs}
+        for m, pairs in enumerate(per_head):
+            for name, g in pairs:
+                grads[name][m] += g
         gz = gx = gwq = gwk = gwp = None
         if "q" in grads:
-            gz, gwq = qf(grads["q"].reshape(-1, d))
+            gz, gwq = qf(grads["q"].reshape(heads, -1, d))
         if "kt" in grads:
-            gx, gwk = kf(grads["kt"].swapaxes(1, 2).reshape(-1, d))
+            gx, gwk = kf(grads["kt"].swapaxes(2, 3).reshape(heads, -1, d))
         if "tbl" in grads:
             gwp = tf(grads["tbl"])[1]
-        return (gz, gx, *(None if g is None else g.T for g in (gwq, gwk, gwp)),
-                *(grads[n].T if n in grads else None for n in ("cb", "pb")))
+        return (gz, gx, *(None if g is None else g.swapaxes(1, 2) for g in (gwq, gwk, gwp)),
+                *(grads[n].swapaxes(1, 2) if n in grads else None for n in ("cb", "pb")))
 
-    return values, vjps, project
+    return terms, project
 
 
 def _head_energies(z, x, params, m, gates, offsets=None, batch=1):
-    """Head m's active energy terms as tape nodes over z, x and the head's
-    energy weights, one per term, from ``_head_terms``."""
-    inputs = (z, x, params.query_embed[m], params.key_embed_[m], params.pos_embed[m],
-              params.content_bias[m], params.position_bias[m])
-    values, vjps, project = _head_terms(*(None if t is None else t.data for t in inputs),
-                                        gates=gates, offsets=offsets, batch=batch)
-    return [vjp_op(v, lambda g, f=f: project(f(g)), inputs) for v, f in zip(values, vjps)]
+    """Head m's energy terms from ``_head_terms``, one tape node each, over z, x
+    and row m of each energy weight (``take_rows``: the gradient lands in row m)."""
+    inputs = (z, x, *(w.take_rows([m]) for w in params.parameters()[:5]))
+    terms, project = _head_terms(*(None if t is None else t.data for t in inputs),
+                                 gates=gates, offsets=offsets, batch=batch)
+    return [vjp_op(v, lambda g, f=f: project([f(g)]), inputs) for v, f in zip(*terms(0))]
 
 
 def _one_term(term, params, z=None, x=None, offsets=None):
@@ -308,44 +311,37 @@ def attention_weights(z, x, params, config, offsets=None, mask=None, *, batch=1)
             for m in range(params.heads)]
 
 
-def _head(z, x, wq, wk, wp, cb, pb, wv, wo, *, gates, offsets, mask, shape):
-    """One head of the layer in numpy over the whole batch: its output and
-    its VJP into z, x and the head's seven weights (None where unread)."""
-    (batch, n_q, n_k), d = shape, len(wq)
-    values, vjps, project = _head_terms(z, x, wq, wk, wp, cb, pb, gates=gates,
-                                        offsets=offsets, batch=batch)
-    p, sf = _softmax_sum(*values, shape=shape, mask=mask)
-    v, vf = _matmul(x, wv.T)
-    h, hf = _matmul(p, v.reshape(batch, n_k, d))
-    out, of = _matmul(h.reshape(-1, d), wo)
+def _layer(z, x, wq, wk, wp, cb, pb, wv, wo, *, gates, offsets, mask, batch):
+    """The layer in numpy: its output and its VJP into z, x and the packed
+    weights. ``head`` does one head's grid-sized work, so that each head's
+    temporaries are freed before the next head's are made."""
+    (heads, d), shape = wq.shape[:2], (batch, len(z) // batch, len(x) // batch)
+    terms, project = _head_terms(z, x, wq, wk, wp, cb, pb, gates=gates, offsets=offsets,
+                                 batch=batch)
+    v, vf = _matmul(x, wv.swapaxes(1, 2))
+
+    def head(m):
+        values, vjps = terms(m)
+        p, sf = _softmax_sum(*values, shape=shape, mask=mask)
+        h, hf = _matmul(p, v.reshape(heads, batch, -1, d)[m])
+
+        def vjp(gh):
+            gp, gv = hf(gh.reshape(batch, -1, d))
+            return [pair for f, g in zip(vjps, sf(gp)) for pair in f(g)], gv
+
+        return h, vjp
+
+    hs, vjps = zip(*map(head, range(heads)))
+    out, of = _matmul(np.stack(hs).reshape(heads, -1, d), wo)
 
     def vjp(gy):
-        gh, gwo = of(gy)
-        gp, gv = hf(gh.reshape(batch, n_q, d))
-        gxv, gwv = vf(gv.reshape(-1, d))
-        grads = {}
-        for f, g in zip(vjps, sf(gp)):
-            for name, gn in f(g).items():
-                grads[name] = grads[name] + gn if name in grads else gn
-        gz, gx, *gw = project(grads)
-        return gz, gxv if gx is None else gx + gxv, *gw, gwv.T, gwo
+        gh, gwo = of(np.broadcast_to(gy, out.shape))
+        pairs, gv = zip(*(f(g) for f, g in zip(vjps, gh)))
+        gz, gx, *gw = project(pairs)
+        gxv, gwv = vf(np.stack(gv).reshape(v.shape))
+        return gz, gxv if gx is None else gx + gxv, *gw, gwv.swapaxes(1, 2), gwo
 
-    return out, vjp
-
-
-def _layer(z, x, *weights, gates, offsets, mask, batch):
-    """The layer in numpy, head by head: its output and its VJP into z, x and
-    ``weights``, the order of ``AttentionParams.parameters()`` less res_scale."""
-    heads = len(weights) // 7
-    shape = (batch, len(z) // batch, len(x) // batch)
-    outs, vjps = zip(*(_head(z, x, *weights[m::heads], gates=gates, offsets=offsets,
-                             mask=mask, shape=shape) for m in range(heads)))
-
-    def vjp(gy):
-        gz, gx, *gw = zip(*(f(gy) for f in vjps))
-        return None if gz[0] is None else sum(gz), sum(gx), *(g for kind in gw for g in kind)
-
-    return sum(outs), vjp
+    return out.sum(axis=0), vjp
 
 
 def attention_forward(z, x, params, config, offsets=None, mask=None, mode="self",

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import csv
 import io
-import math
+
+import numpy as np
 
 from .attention import AttentionConfig
 from .errors import ContractViolation, check_sizes, positive_int
@@ -165,15 +166,12 @@ def count_mechanism(mechanism, n_s, c, n_k=None, n_g=None, m=None, beta=None):
 
 
 def loglog_slope(ns, counts):
-    """Least-squares slope of log(count) against log(n)."""
-    xs = [math.log(n) for n in ns]
-    ys = [math.log(c) for c in counts]
-    n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    num = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    den = sum((x - mx) ** 2 for x in xs)
-    return num / den
+    """Least-squares slope of log(count) against log(n): one count per size,
+    two or more distinct sizes, every entry positive."""
+    if len(ns) != len(counts) or len(set(ns)) < 2 or min(ns) <= 0 or min(counts) <= 0:
+        raise ContractViolation(f"a slope needs one positive count per size and two or "
+                                f"more distinct positive sizes, got {ns} and {counts}")
+    return float(np.polyfit(np.log(ns), np.log(counts), 1)[0])
 
 
 def _flag_string(flags, spatial):

@@ -36,7 +36,7 @@ from .attention import (
 )
 from .conv import ConvParams, deformable_conv, regular_conv
 from .dynconv import DynamicConvParams, dynamic_conv
-from .errors import ContractViolation, NumericFault
+from .errors import ContractViolation, NumericFault, ShapeMismatch
 from .tensor import Rng, Tensor, counting, no_grad, zeros
 
 
@@ -48,7 +48,11 @@ def cross_entropy(logits, labels):
     the detached row max is exact: the derivative of log-sum-exp is the
     softmax either way.
     """
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    labels = np.atleast_1d(np.asarray(labels))
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ContractViolation(f"labels must be integers, got dtype {labels.dtype}")
+    if logits.ndim != 2:
+        raise ShapeMismatch(f"logits must be (n, classes), got shape {logits.shape}")
     n, v = logits.shape
     if labels.shape != (n,):
         raise ContractViolation(f"expected {n} labels, got shape {labels.shape}")
@@ -57,7 +61,7 @@ def cross_entropy(logits, labels):
         raise ContractViolation(f"label {outside[0]} is not one of the {v} classes [0, {v})")
     centered = logits - Tensor(logits.data.max(axis=-1, keepdims=True))
     log_probs = centered - centered.exp().sum(axis=-1, keepdims=True).log()
-    picked = log_probs.reshape(n * v, 1).take_rows(labels + np.arange(n) * v)
+    picked = log_probs.reshape(n * v, 1).take_rows(labels.astype(np.int64) + np.arange(n) * v)
     return -(picked.mean())
 
 

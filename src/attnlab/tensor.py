@@ -191,8 +191,8 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        if isinstance(scalar, Tensor):
-            raise ContractViolation("division is supported by scalars only")
+        if isinstance(scalar, bool) or not isinstance(scalar, numbers.Real):
+            raise ContractViolation(f"division is supported by scalars only, got {scalar!r}")
         s = float(scalar)
         data = self.data / s
         _emit(divs=data.size)

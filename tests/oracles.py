@@ -13,13 +13,13 @@ import numpy as np
 def head_arrays(params):
     """Pull per-head numpy arrays out of an AttentionParams."""
     return {
-        "query_embed": [t.data for t in params.query_embed],
-        "key_embed": [t.data for t in params.key_embed_],
-        "pos_embed": [t.data for t in params.pos_embed],
-        "content_bias": [t.data.reshape(-1) for t in params.content_bias],
-        "position_bias": [t.data.reshape(-1) for t in params.position_bias],
-        "value_proj": [t.data for t in params.value_proj],
-        "out_proj": [t.data for t in params.out_proj],
+        "query_embed": list(params.query_embed.data),
+        "key_embed": list(params.key_embed_.data),
+        "pos_embed": list(params.pos_embed.data),
+        "content_bias": list(params.content_bias.data[..., 0]),
+        "position_bias": list(params.position_bias.data[..., 0]),
+        "value_proj": list(params.value_proj.data),
+        "out_proj": list(params.out_proj.data),
     }
 
 

@@ -86,6 +86,19 @@ def test_a_tensor_divides_by_scalars_only():
         Tensor([1.0, 2.0]) / Tensor([2.0, 4.0])
 
 
+@pytest.mark.parametrize("divisor", ["2", True, np.bool_(True), np.array([2.0]), np.array(2.0),
+                                     None], ids=["str", "bool", "np-bool", "array", "0-d-array",
+                                                 "none"])
+def test_a_tensor_rejects_a_divisor_that_is_not_a_real_number(divisor):
+    with pytest.raises(ContractViolation, match="scalars only"):
+        Tensor([1.0, 2.0]) / divisor
+
+
+@pytest.mark.parametrize("divisor", [2, 2.0, np.int64(2), np.float32(2.0), np.float64(2.0)])
+def test_a_tensor_divides_by_a_real_number(divisor):
+    np.testing.assert_array_equal((Tensor([1.0, 2.0]) / divisor).data, [0.5, 1.0])
+
+
 def test_finite_diff_check_rejects_a_non_finite_probe():
     p = Tensor(np.array([[0.5]]), requires_grad=True)
 

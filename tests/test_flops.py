@@ -193,6 +193,29 @@ def test_loglog_slopes_match_table_asymptotics():
         assert abs(loglog_slope(ns, counts) - 1.0) <= 0.05, name
 
 
+def test_loglog_slope_is_the_least_squares_fit():
+    assert loglog_slope([1, 2, 4], [3, 12, 48]) == pytest.approx(2.0, abs=1e-12)
+    xs, ys = np.log([1, 2, 4, 8]), np.log([1, 3, 4, 20])
+    want = ((xs - xs.mean()) * (ys - ys.mean())).sum() / ((xs - xs.mean()) ** 2).sum()
+    assert loglog_slope([1, 2, 4, 8], [1, 3, 4, 20]) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("ns, counts", [
+    ([1, 2, 4], [1, 4]),
+    ([1, 2], [1, 4, 16]),
+    ([4], [16]),
+    ([2, 2, 2], [4, 4, 8]),
+    ([], []),
+    ([0, 2], [1, 4]),
+    ([-1, 2], [1, 4]),
+    ([1, 2], [0, 4]),
+], ids=["short-counts", "short-sizes", "one-size", "repeated-size", "empty", "zero-size",
+        "negative-size", "zero-count"])
+def test_loglog_slope_rejects_a_fit_it_cannot_make(ns, counts):
+    with pytest.raises(ContractViolation, match="a slope needs"):
+        loglog_slope(ns, counts)
+
+
 def test_shared_projection_savings():
     n_s, c, m = 16, 8, 2
     # query projection shared between the two query-driven terms

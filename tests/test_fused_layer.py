@@ -22,12 +22,12 @@ ALL_BETAS = [format(i, "04b") for i in range(16)]
 STEP = 1e-5
 
 
-def _layer_case(beta, mode, masked, batch, seed=0):
-    """A perturbed 2-head layer (C = 4) with every parameter, res_scale
-    included, off its initial value; self mode runs 3 cells with the
-    residual on, cross mode 2 queries over 4 keys."""
+def _layer_case(beta, mode, masked, batch, seed=0, heads=2):
+    """A perturbed layer of ``heads`` heads (C = 4) with every parameter,
+    res_scale included, off its initial value; self mode runs 3 cells with
+    the residual on, cross mode 2 queries over 4 keys."""
     rng = Rng(seed)
-    params = AttentionParams(4, 2, enc_dim=4, rng=rng.child(0))
+    params = AttentionParams(4, heads, enc_dim=4, rng=rng.child(0))
     for p in params.parameters():
         p.data = p.data + rng.uniform(-0.5, 0.5, p.shape)
     n_q, n_k = (3, 3) if mode == "self" else (2, 4)
@@ -40,7 +40,7 @@ def _layer_case(beta, mode, masked, batch, seed=0):
     z = x if mode == "self" else Tensor(rng.uniform(-1, 1, (batch * n_q, 4)),
                                         requires_grad=True)
     probe = Tensor(rng.uniform(-1, 1, (batch * n_q, 4)))
-    config = AttentionConfig.from_beta(beta, heads=2)
+    config = AttentionConfig.from_beta(beta, heads=heads)
 
     def loss():
         out = attention_forward(z, x, params, config, offsets, mask, mode=mode,
@@ -50,15 +50,22 @@ def _layer_case(beta, mode, masked, batch, seed=0):
     return loss, params.parameters() + ([x] if mode == "self" else [z, x]), rng
 
 
+# every switch string at two heads; at one and four heads, three that
+# between them run each term alongside another
+HEAD_CASES = ([pytest.param(beta, 2, id=beta) for beta in ALL_BETAS]
+              + [pytest.param(beta, heads, id=f"{beta}-h{heads}")
+                 for heads in (1, 4) for beta in ("1111", "0110", "1001")])
+
+
 @pytest.mark.parametrize("batch", [1, 3])
 @pytest.mark.parametrize("masked", [False, True])
 @pytest.mark.parametrize("mode", ["self", "cross"])
-@pytest.mark.parametrize("beta", ALL_BETAS)
-def test_vjp_matches_central_differences_on_every_input(beta, mode, masked, batch):
+@pytest.mark.parametrize("beta, heads", HEAD_CASES)
+def test_vjp_matches_central_differences_on_every_input(beta, heads, mode, masked, batch):
     """For each parameter, z and x in turn, the tape gradient dotted with a
     random direction equals the central difference along it; a weight the
     loss does not read (the difference is exactly zero) gets no gradient."""
-    loss, tensors, rng = _layer_case(beta, mode, masked, batch)
+    loss, tensors, rng = _layer_case(beta, mode, masked, batch, heads=heads)
     loss().backward()
     for t in tensors:
         u = rng.uniform(-1, 1, t.shape)
@@ -73,6 +80,23 @@ def test_vjp_matches_central_differences_on_every_input(beta, mode, masked, batc
         assert t.grad is None or t.grad.shape == t.shape
         assert hi != lo or t.grad is None or not t.grad.any()
         assert abs(analytic - numeric) <= 1e-7 * (1 + abs(numeric)), (t.shape, analytic, numeric)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_one_heads_weights_backprop_into_its_row_only(m):
+    """Head m of the tape view reads row m of each packed energy weight, so
+    every other row's gradient is exactly zero, and it reads no value or
+    output projection."""
+    rng = Rng(3)
+    params = AttentionParams(6, 3, enc_dim=4, rng=rng)
+    x = Tensor(rng.uniform(-1, 1, (6, 6)), requires_grad=True)
+    config = AttentionConfig.from_beta("1111", heads=3)
+    weights = attention_weights(x, x, params, config, offset_map_1d(3, 3, enc_dim=4), batch=2)
+    (weights[m] * Tensor(rng.uniform(-1, 1, (6, 3)))).sum().backward()
+    for w in params.parameters()[:5]:
+        assert w.grad.shape == w.shape
+        assert w.grad[m].any() and not np.delete(w.grad, m, axis=0).any()
+    assert all(w.grad is None for w in params.parameters()[5:])
 
 
 def _tape_nodes(out):

@@ -11,7 +11,7 @@ import pytest
 from attnlab import conv, errors
 from attnlab.attention import offset_map, offset_map_1d, offset_map_2d
 from attnlab.checks import run_checks
-from attnlab.errors import ContractViolation
+from attnlab.errors import ContractViolation, ShapeMismatch
 from attnlab.models import cross_entropy
 from attnlab.relpos import encode, encode_1d, encode_2d
 from attnlab.tasks import make_windowed_denoise_task
@@ -32,6 +32,27 @@ def test_cross_entropy_scores_in_range_labels():
     want = np.mean([math.log(sum(math.exp(v - row[i]) for v in row))
                     for row, i in zip(LOGITS, (2, 0))])
     assert loss.item() == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("labels", [[1.7, 0.2], [1.0, 0.0], [True, False], ["1", "0"]],
+                         ids=["fractional", "integral-floats", "bool", "str"])
+def test_cross_entropy_rejects_labels_that_are_not_integers(labels):
+    with pytest.raises(ContractViolation, match="labels must be integers"):
+        cross_entropy(Tensor(LOGITS), labels)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint8, np.uint64])
+def test_cross_entropy_takes_any_integer_dtype(dtype):
+    want = cross_entropy(Tensor(LOGITS), [2, 0]).item()
+    assert cross_entropy(Tensor(LOGITS), np.array([2, 0], dtype=dtype)).item() == want
+
+
+@pytest.mark.parametrize("logits, shape", [([0.0, 1.0, 2.0], r"\(3,\)"),
+                                           ([[[0.0, 1.0, 2.0]]], r"\(1, 1, 3\)")],
+                         ids=["1-d", "3-d"])
+def test_cross_entropy_names_logits_that_are_not_2d(logits, shape):
+    with pytest.raises(ShapeMismatch, match=rf"logits must be \(n, classes\).*{shape}"):
+        cross_entropy(Tensor(logits), [0])
 
 
 @pytest.mark.parametrize("value, low, kind, ok", [
