@@ -199,7 +199,7 @@ def _head_terms(z, x, wq, wk, wp, cb, pb, *, gates, offsets, batch):
         k, kf = _matmul(x, wk.swapaxes(1, 2))
         ops["kt"] = k.reshape(heads, batch, -1, d).swapaxes(2, 3)
     if "tbl" in need:
-        ops["tbl"], tf = _matmul(offsets.table, wp.swapaxes(1, 2))
+        ops["tbl"] = _matmul(offsets.table, wp.swapaxes(1, 2))[0]
 
     def terms(m):
         values, vjps = [], []
@@ -220,7 +220,8 @@ def _head_terms(z, x, wq, wk, wp, cb, pb, *, gates, offsets, batch):
         if "kt" in grads:
             gx, gwk = kf(grads["kt"].swapaxes(2, 3).reshape(heads, -1, d))
         if "tbl" in grads:
-            gwp = tf(grads["tbl"])[1]
+            # the table is constant: only the projection's weight gradient
+            gwp = offsets.table.T @ grads["tbl"]
         return (gz, gx, *(None if g is None else g.swapaxes(1, 2) for g in (gwq, gwk, gwp)),
                 *(grads[n].swapaxes(1, 2) if n in grads else None for n in ("cb", "pb")))
 

@@ -18,6 +18,9 @@ kernel g(a, b) = max(0, 1 - |a - b|), multiplied across axes. Reads
 outside the extent return zero. Along an axis the two cells around p
 weigh 1 - f and f, f = p - floor(p): g's values with g's one-sided slope
 at whole cells, whose kink would pin the zero-initialized offsets at zero.
+The sampling is one tape op, ``_interpolate``: a numpy forward that
+gathers x once per corner through ``tensor._take_rows``, and a
+hand-written VJP into the displacement and, when x is tracked, into x.
 It ends in the regular convolution's matmul, so with the predictor at
 zero it reproduces that convolution bit for bit.
 """
@@ -27,13 +30,14 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cache, reduce
-from operator import add, mul
+from operator import mul
 
 import numpy as np
 
 from .errors import ContractViolation, ShapeMismatch, positive_int
 from .relpos import cells, flat_index
-from .tensor import Rng, Tensor, rows_per_sample, zeros
+from .tensor import (Rng, Tensor, _emit, _scatter_rows, _take_rows, rows_per_sample,
+                     vjp_op, zeros)
 
 OFFSET_LR_SCALE = 0.1
 
@@ -171,25 +175,56 @@ def linear_kernel(a, b):
     return np.maximum(0.0, 1.0 - np.abs(np.subtract(a, b)))
 
 
-def _interpolate(x, positions, extent, first):
-    """Rows of x read at fractional cells, one (batch * n, K) position
-    per axis, each within its own sample's extent.
+def _interpolate(x, disp, extent, points, batch):
+    """Rows of x read at fractional cells, (batch * n, K, c_in), as one
+    tape op over x and the (batch * n, ndim * K) displacement, whose column
+    ndim * m + axis displaces point m along that axis; each position stays
+    within its own sample's extent.
 
-    Each read sums the 2**ndim surrounding cells, weighted by the product
-    of the per-axis linear kernels (1 - f, f) of the fraction f past the
-    lower cell; cells outside the extent read zero.
-    ``first`` is the (batch * n, 1) row where each row's sample starts.
+    Each read sums the 2**ndim surrounding cells, one ``_take_rows`` gather
+    of x per corner, weighted by the product of the per-axis linear kernels
+    (1 - f, f) of the fraction f past the lower cell; cells outside the
+    extent read zero. The VJP gives the displacement the kernels' slope in
+    f, one-sided at whole cells, and x one bincount over every corner's
+    reads, skipped when x is untracked.
     """
-    lows = [np.floor(pos.data) for pos in positions]
-    fracs = [pos - Tensor(lo) for pos, lo in zip(positions, lows)]
-    kernels = [(1.0 - frac, frac) for frac in fracs]
-    sampled = []
-    for corner in itertools.product((0, 1), repeat=len(extent)):
-        idx = flat_index([(lo + bit).astype(np.int64) for lo, bit in zip(lows, corner)],
-                         extent, first)
-        weight = reduce(mul, (k[bit] for k, bit in zip(kernels, corner)))
-        sampled.append(x.take_rows(idx, oob_zero=True) * weight.reshape(*idx.shape, 1))
-    return reduce(add, sampled)
+    ndim = len(extent)
+    at = _displaced(extent, points, batch)
+    pos = at + np.moveaxis(disp.data.reshape(*at.shape[1:], ndim), -1, 0)
+    lows = np.floor(pos)
+    kernels = [(1.0 - f, f) for f in pos - lows]
+    corners = list(itertools.product((0, 1), repeat=ndim))
+    # per corner its rows of x (-1 off the edge), its per-axis kernels and their product
+    idx = flat_index(lows.astype(np.int64)[:, None] + np.array(corners).T[:, :, None, None],
+                     extent, _first_rows(extent, batch))
+    factors = [[k[bit] for k, bit in zip(kernels, bits)] for bits in corners]
+    weight = np.stack([reduce(mul, f) for f in factors])
+
+    def read(rows):
+        return _take_rows(x.data, rows, oob_zero=True)[0]
+
+    sampled = np.zeros((*at.shape[1:], x.shape[1]))
+    for rows, w in zip(idx, weight):
+        value = read(rows)
+        value *= w[..., None]
+        sampled += value
+    _emit(macs=(ndim - 1) * weight.size + sampled.size * len(corners))
+
+    def vjp(g):
+        # each corner is read again, so the tape holds no (rows, K, c_in) read per corner
+        gpos = np.zeros(pos.shape)
+        for bits, f, rows in zip(corners, factors, idx):
+            dot = np.einsum("rkc,rkc->rk", g, read(rows))
+            for axis, bit in enumerate(bits):
+                slope = reduce(mul, f[:axis] + f[axis + 1:], dot)
+                gpos[axis] += slope if bit else -slope
+        gx = None
+        if x.tracked:
+            gx = _scatter_rows(np.where(idx < 0, len(x.data), idx), g * weight[..., None],
+                               x.shape)
+        return gx, np.moveaxis(gpos, 0, -1).reshape(disp.shape)
+
+    return vjp_op(sampled, vjp, (x, disp))
 
 
 def deformable_conv(x, params: ConvParams, extent=None, *, batch=1):
@@ -198,14 +233,8 @@ def deformable_conv(x, params: ConvParams, extent=None, *, batch=1):
     extent = check_layout(x, params, extent, batch=batch)
     if params.offset_w is None:
         raise ContractViolation("params carry no offset predictor; build with deformable=True")
-    ndim = len(extent)
-    rows, k = x.shape[0], len(params.points)
-    # column ndim * m + axis displaces point m along that axis
-    disp = (x @ params.offset_w).reshape(-1)
-    column = (np.arange(rows)[:, None] * k + np.arange(k)) * ndim
-    positions = [disp.take_rows(column + axis) + Tensor(at)
-                 for axis, at in enumerate(_displaced(extent, params.points, batch))]
-    return _aggregate(_interpolate(x, positions, extent, _first_rows(extent, batch)), params)
+    disp = x @ params.offset_w
+    return _aggregate(_interpolate(x, disp, extent, params.points, batch), params)
 
 
 # Layout-named aliases: the layout itself comes from ``extent``.

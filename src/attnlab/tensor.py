@@ -134,7 +134,7 @@ class Tensor:
         out = Tensor(data)
         if _paused:
             return out
-        tracked = tuple(p for p in parents if p is not None and (p.requires_grad or p._parents))
+        tracked = tuple(p for p in parents if p is not None and p.tracked)
         if tracked:
             out._parents = tracked
             out._backward = backward
@@ -144,6 +144,12 @@ class Tensor:
         """A single-input op with value ``data``; ``grad(g)`` is its
         vector-Jacobian product, the gradient it passes back to self."""
         return vjp_op(data, lambda g: (grad(g),), (self,))
+
+    @property
+    def tracked(self):
+        """Whether a gradient reaches this tensor: a trainable leaf or an
+        op output recorded on the tape."""
+        return self.requires_grad or bool(self._parents)
 
     @property
     def shape(self):
@@ -276,7 +282,8 @@ class Tensor:
     # -- gathers ------------------------------------------------------------------
 
     def take_rows(self, indices, oob_zero=False):
-        """Index axis 0 with an integer array of any shape.
+        """Index axis 0 with an integer array of any shape; the tape
+        wrapper of the numpy body ``_take_rows``.
 
         Result shape is ``indices.shape + self.shape[1:]``. With
         ``oob_zero`` out-of-range rows read as zeros and receive no
@@ -284,28 +291,12 @@ class Tensor:
         The backward sums the gradient per (row, entry) pair with one
         bincount; off-edge reads land in a spare row n that is dropped.
         """
-        n = self.shape[0]
-        idx = _row_index(indices, n, in_range=not oob_zero)
-        if oob_zero:
-            ok = (idx >= 0) & (idx < n)
-            data = np.take(self.data, np.where(ok, idx, 0), axis=0)
-            data[~ok] = 0.0
-            idx = np.where(ok, idx, n)
-        else:
-            data = np.take(self.data, idx, axis=0)
-
-        def scatter(g):
-            width = math.prod(self.shape[1:])
-            pairs = idx.reshape(-1, 1) * width + np.arange(width)
-            gt = np.bincount(pairs.ravel(), weights=g.ravel(), minlength=(n + 1) * width)
-            return gt[:n * width].reshape(self.shape)
-
-        return self._unary(data, scatter)
+        return self._unary(*_take_rows(self.data, indices, oob_zero))
 
     # -- autodiff ----------------------------------------------------------------
 
     def _accum(self, g):
-        if not (self.requires_grad or self._parents):
+        if not self.tracked:
             return
         if g.shape != self.data.shape:
             raise ShapeMismatch(f"gradient of shape {g.shape} for a tensor of shape {self.shape}")
@@ -368,6 +359,29 @@ def _matmul(a, b):
     _emit(macs=data.size * a.shape[-1])
     return data, lambda g: (_unbroadcast(g @ b.swapaxes(-1, -2), a.shape),
                             _unbroadcast(a.swapaxes(-1, -2) @ g, b.shape))
+
+
+def _scatter_rows(idx, g, shape):
+    """Gradient of reads of the rows ``idx`` of an operand of ``shape``:
+    ``g`` summed per (row, entry) pair with one bincount. A read of row
+    ``shape[0]``, the spare row past the end, gets no gradient."""
+    n, width = shape[0], math.prod(shape[1:])
+    pairs = idx.reshape(-1, 1) * width + np.arange(width)
+    gt = np.bincount(pairs.ravel(), weights=g.ravel(), minlength=(n + 1) * width)
+    return gt[:n * width].reshape(shape)
+
+
+def _take_rows(data, indices, oob_zero=False):
+    """numpy body of ``Tensor.take_rows``: its value and its scatter VJP."""
+    n = data.shape[0]
+    idx = _row_index(indices, n, in_range=not oob_zero)
+    if not oob_zero:
+        return np.take(data, idx, axis=0), lambda g: _scatter_rows(idx, g, data.shape)
+    ok = (idx >= 0) & (idx < n)
+    value = np.take(data, np.where(ok, idx, 0), axis=0)
+    value[~ok] = 0.0
+    # an off-edge read scatters into the spare row n, which is dropped
+    return value, lambda g: _scatter_rows(np.where(ok, idx, n), g, data.shape)
 
 
 def _softmax_sum(*terms, shape, axis=-1, mask=None):

@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from attnlab import conv, dynconv, tensor
 from attnlab.conv import (
     ConvParams,
     deformable_conv,
@@ -98,18 +99,22 @@ def test_each_conv_gathers_its_input_once_per_corner(monkeypatch):
     rng = Rng(3)
     x = Tensor(rng.uniform(-1, 1, (12, 2)))
     reads = []
-    take_rows = Tensor.take_rows
+    take_rows = tensor._take_rows
 
-    def counted(self, *args, **kwargs):
-        reads.append(self is x)
-        return take_rows(self, *args, **kwargs)
+    def counted(data, *args, **kwargs):
+        reads.append(data is x.data)
+        return take_rows(data, *args, **kwargs)
 
-    monkeypatch.setattr(Tensor, "take_rows", counted)
+    # the numpy body, under each name the convs and the tape wrapper call
+    for module in (tensor, conv, dynconv):
+        monkeypatch.setattr(module, "_take_rows", counted)
     regular_conv(x, ConvParams(2, 3, 3, ndim=2, rng=rng.child(0)), (3, 4))
     assert reads.count(True) == 1
     reads.clear()
     deformable_conv(x, ConvParams(2, 3, 3, ndim=2, rng=rng.child(1), deformable=True), (3, 4))
     assert reads.count(True) == 4
     reads.clear()
+    # one gather, of the gated feature's taps: each group's kernel is
+    # repeated over its channels, not gathered
     dynamic_conv(x, DynamicConvParams(2, 3, 3, 1, rng=rng.child(2), ndim=2), (3, 4))
-    assert reads.count(True) == 0 and len(reads) == 2
+    assert reads.count(True) == 0 and len(reads) == 1
