@@ -14,12 +14,15 @@ Heads are an axis: each weight kind is one (heads, d, ·) tensor whose row
 m is head m. The terms are computed in one place, ``_head_terms``, in
 numpy through the bodies of ``tensor`` (``_matmul``, ``_gather_dot``),
 each with its vector-Jacobian product (VJP); each projection runs once for
-all heads. ``attention_forward`` is one tape op over it: the grid-sized
-work (terms, the masked in-place ``_softmax_sum``, the values) runs one
-head at a time over the whole batch, and its backward is the hand-written
-VJP into the packed weights, ``z`` and ``x``. ``attention_weights`` and
-the one-term views (``query_key_energy``, ...) are tape views over the
-same terms: one tape node per term, one ``softmax_sum`` node per head.
+all heads, and so does key_only. ``attention_forward`` is one tape op
+over it: the grid-sized work (terms, the masked in-place
+``_softmax_sum``, the values) runs one head at a time over the whole
+batch in tiles of ``GATHER_DOT_ROWS`` query rows, and its backward is
+the hand-written VJP into the packed weights, ``z`` and ``x``, over the
+same tiles. ``attention_weights`` and the one-term views
+(``query_key_energy``, ...) are tape views over the same terms, as one
+tile of all rows: one tape node per term, one ``softmax_sum`` node per
+head.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ import numpy as np
 
 from .errors import ContractViolation, ShapeMismatch, positive_int
 from .relpos import cells, encode, flat_index
-from .tensor import (Rng, Tensor, _gather_dot, _matmul, _softmax_sum, rows_per_sample,
-                     softmax_sum, vjp_op)
+from .tensor import (GATHER_DOT_ROWS, Rng, Tensor, _gather_dot, _matmul, _softmax_sum,
+                     bool_mask, rows_per_sample, softmax_sum, vjp_op)
 
 
 @dataclass(frozen=True)
@@ -174,47 +177,64 @@ def causal_mask(offsets: OffsetMap):
 # -- the energy stage ----------------------------------------------------------
 
 
-# per term in term order, its numpy body and the two head operands it reads:
+# per term in term order, its numpy body and the head operands it reads:
 # the projected queries "q" (batch, n_q, d) and keys "kt" (batch, d, n_k),
-# the projected offset table "tbl" and the probe vectors "cb" and "pb" (1, d)
-_TERMS = ((_matmul, "q", "kt"), (_gather_dot, "q", "tbl"),
-          (_matmul, "cb", "kt"), (_gather_dot, "pb", "tbl"))
+# the projected offset table "tbl" and the probe vector "pb" (1, d).
+# key_only has no query axis, so it has no body here: its (batch, 1, n_k)
+# row "ko" is made once per head with the projections and read whole
+_TERMS = ((_matmul, "q", "kt"), (_gather_dot, "q", "tbl"), (None, "ko"),
+          (_gather_dot, "pb", "tbl"))
 
 
 def _head_terms(z, x, wq, wk, wp, cb, pb, *, gates, offsets, batch):
     """The active energy terms in numpy, the one place they are computed:
     per head, query_key and query_pos (batch, n_q, n_k), key_only one
     (batch, 1, n_k) row per sample and pos_only one (n_q, n_k) grid for the
-    whole batch. Each projection runs once for all heads and terms. Returns
-    ``terms(m)``, head m's term values and per term a VJP to (name, gradient)
-    pairs of the operands it reads, and ``project``, from one list of pairs
-    per head to the packed gradients of (z, x, wq, wk, wp, cb, pb)."""
+    whole batch. Each projection, and key_only, runs once for all heads.
+    Returns ``terms(m, rows)``, head m's term values over the query slice
+    ``rows`` (all by default) and ``add(i, g, grads)``, which adds term i's
+    gradient g into the dict of its operands' gradients, and ``project``,
+    from that dict to the packed gradients of (z, x, wq, wk, wp, cb, pb)."""
     active = [term for term, on in zip(_TERMS, gates) if on]
     need = {name for _, *names in active for name in names}
-    (heads, d), ops = wq.shape[:2], {"cb": cb.swapaxes(1, 2), "pb": pb.swapaxes(1, 2)}
+    (heads, d), ops = wq.shape[:2], {"pb": pb.swapaxes(1, 2)}
     if "q" in need:
         q, qf = _matmul(z, wq.swapaxes(1, 2))
         ops["q"] = q.reshape(heads, batch, -1, d)
-    if "kt" in need:
+    if need & {"kt", "ko"}:
         k, kf = _matmul(x, wk.swapaxes(1, 2))
         ops["kt"] = k.reshape(heads, batch, -1, d).swapaxes(2, 3)
+    if "ko" in need:
+        ops["ko"], kof = _matmul(cb.swapaxes(1, 2)[:, None], ops["kt"])
     if "tbl" in need:
         ops["tbl"] = _matmul(offsets.table, wp.swapaxes(1, 2))[0]
 
-    def terms(m):
-        values, vjps = [], []
-        for body, a, b in active:
-            value, f = body(ops[a][m], ops[b][m], *([offsets.index] if body is _gather_dot else []))
+    def terms(m, rows=slice(None)):
+        at = {name: (m, slice(None), rows) if name == "q" else m for name in need}
+        values, fs = [], []
+        for body, *names in active:
+            args = [ops[n][at[n]] for n in names]
+            if body is _gather_dot:
+                args.append(offsets.index[rows])
+            value, f = body(*args) if body else (args[0], None)
             values.append(value)
-            vjps.append(lambda g, f=f, names=(a, b): list(zip(names, f(g))))
-        return values, vjps
+            fs.append(f)
 
-    def project(per_head):
-        grads = {name: np.zeros(ops[name].shape) for pairs in per_head for name, _ in pairs}
-        for m, pairs in enumerate(per_head):
-            for name, g in pairs:
-                grads[name][m] += g
-        gz = gx = gwq = gwk = gwp = None
+        def add(i, g, grads):
+            for n, gn in zip(active[i][1:], (g,) if fs[i] is None else fs[i](g)):
+                if n not in grads:
+                    grads[n] = np.zeros(ops[n].shape)
+                grads[n][at[n]] += gn
+            return grads
+
+        return values, add
+
+    def project(grads):
+        gz = gx = gwq = gwk = gwp = gcb = None
+        if "ko" in grads:
+            gcb, gkt = kof(grads["ko"])
+            gcb = gcb.reshape(heads, 1, d)
+            grads["kt"] = gkt + grads["kt"] if "kt" in grads else gkt
         if "q" in grads:
             gz, gwq = qf(grads["q"].reshape(heads, -1, d))
         if "kt" in grads:
@@ -222,8 +242,8 @@ def _head_terms(z, x, wq, wk, wp, cb, pb, *, gates, offsets, batch):
         if "tbl" in grads:
             # the table is constant: only the projection's weight gradient
             gwp = offsets.table.T @ grads["tbl"]
-        return (gz, gx, *(None if g is None else g.swapaxes(1, 2) for g in (gwq, gwk, gwp)),
-                *(grads[n].swapaxes(1, 2) if n in grads else None for n in ("cb", "pb")))
+        return gz, gx, *(None if g is None else g.swapaxes(1, 2)
+                         for g in (gwq, gwk, gwp, gcb, grads.get("pb")))
 
     return terms, project
 
@@ -234,7 +254,8 @@ def _head_energies(z, x, params, m, gates, offsets=None, batch=1):
     inputs = (z, x, *(w.take_rows([m]) for w in params.parameters()[:5]))
     terms, project = _head_terms(*(None if t is None else t.data for t in inputs),
                                  gates=gates, offsets=offsets, batch=batch)
-    return [vjp_op(v, lambda g, f=f: project([f(g)]), inputs) for v, f in zip(*terms(0))]
+    values, add = terms(0)
+    return [vjp_op(v, lambda g, i=i: project(add(i, g, {})), inputs) for i, v in enumerate(values)]
 
 
 def _one_term(term, params, z=None, x=None, offsets=None):
@@ -314,32 +335,46 @@ def attention_weights(z, x, params, config, offsets=None, mask=None, *, batch=1)
 
 def _layer(z, x, wq, wk, wp, cb, pb, wv, wo, *, gates, offsets, mask, batch):
     """The layer in numpy: its output and its VJP into z, x and the packed
-    weights. ``head`` does one head's grid-sized work, so that each head's
-    temporaries are freed before the next head's are made."""
-    (heads, d), shape = wq.shape[:2], (batch, len(z) // batch, len(x) // batch)
+    weights. Each head walks the query axis in tiles of GATHER_DOT_ROWS
+    rows; ``tile`` builds a tile's terms, their masked softmax and its rows
+    of P @ V, and keeps its weights for the VJP, which walks the same tiles
+    and sums each operand's gradient over them before ``project`` runs
+    once. So the kept weights are the only (batch, n_q, n_k) arrays."""
+    (heads, d), n_q, n_k = wq.shape[:2], len(z) // batch, len(x) // batch
     terms, project = _head_terms(z, x, wq, wk, wp, cb, pb, gates=gates, offsets=offsets,
                                  batch=batch)
     v, vf = _matmul(x, wv.swapaxes(1, 2))
+    v = v.reshape(heads, batch, n_k, d)
+    if mask is not None:
+        mask = bool_mask(mask, (batch, n_q, n_k))
+    h = np.empty((heads, batch, n_q, d))
 
-    def head(m):
-        values, vjps = terms(m)
-        p, sf = _softmax_sum(*values, shape=shape, mask=mask)
-        h, hf = _matmul(p, v.reshape(heads, batch, -1, d)[m])
+    def tile(m, rows):
+        values, add = terms(m, rows)
+        p, sf = _softmax_sum(*values, shape=(batch, rows.stop - rows.start, n_k),
+                             mask=None if mask is None else mask[:, rows])
+        h[m, :, rows], hf = _matmul(p, v[m])
 
-        def vjp(gh):
-            gp, gv = hf(gh.reshape(batch, -1, d))
-            return [pair for f, g in zip(vjps, sf(gp)) for pair in f(g)], gv
+        def vjp(gh, gv, grads):
+            gp, gv_m = hf(gh[m, :, rows])
+            gv[m] += gv_m
+            for i, g in enumerate(sf(gp)):
+                add(i, g, grads)
 
-        return h, vjp
+        return vjp
 
-    hs, vjps = zip(*map(head, range(heads)))
-    out, of = _matmul(np.stack(hs).reshape(heads, -1, d), wo)
+    walk = [tile(m, slice(lo, min(lo + GATHER_DOT_ROWS, n_q)))
+            for m in range(heads) for lo in range(0, n_q, GATHER_DOT_ROWS)]
+    out, of = _matmul(h.reshape(heads, -1, d), wo)
+    shape = out.shape
 
     def vjp(gy):
-        gh, gwo = of(np.broadcast_to(gy, out.shape))
-        pairs, gv = zip(*(f(g) for f, g in zip(vjps, gh)))
-        gz, gx, *gw = project(pairs)
-        gxv, gwv = vf(np.stack(gv).reshape(v.shape))
+        gh, gwo = of(np.broadcast_to(gy, shape))
+        gh, gv, grads = gh.reshape(h.shape), np.zeros(v.shape), {}
+        for f in walk:
+            f(gh, gv, grads)
+        gz, gx, *gw = project(grads)
+        gxv, gwv = vf(gv.reshape(heads, -1, d))
         return gz, gxv if gx is None else gx + gxv, *gw, gwv.swapaxes(1, 2), gwo
 
     return out.sum(axis=0), vjp

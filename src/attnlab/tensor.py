@@ -384,6 +384,17 @@ def _take_rows(data, indices, oob_zero=False):
     return value, lambda g: _scatter_rows(np.where(ok, idx, n), g, data.shape)
 
 
+def bool_mask(mask, shape):
+    """A mask (array or Tensor, True where valid) as a boolean view
+    broadcast to energies of ``shape``."""
+    m = mask.data if isinstance(mask, Tensor) else np.asarray(mask)
+    try:
+        return np.broadcast_to(m.astype(bool, copy=False), shape)
+    except ValueError as exc:
+        raise ShapeMismatch(f"mask of shape {m.shape} does not broadcast to "
+                            f"energies of shape {tuple(shape)}") from exc
+
+
 def _softmax_sum(*terms, shape, axis=-1, mask=None):
     """numpy body of ``softmax_sum``: its value and its VJP."""
     data = np.zeros(shape)
@@ -394,12 +405,7 @@ def _softmax_sum(*terms, shape, axis=-1, mask=None):
         raise ShapeMismatch(f"energy terms of shapes {[t.shape for t in terms]} do not "
                             f"broadcast to {data.shape}") from exc
     if mask is not None:
-        m = mask.data if isinstance(mask, Tensor) else np.asarray(mask)
-        try:
-            np.copyto(data, -np.inf, where=~m.astype(bool))
-        except ValueError as exc:
-            raise ShapeMismatch(f"mask of shape {m.shape} does not broadcast to "
-                                f"energies of shape {data.shape}") from exc
+        np.copyto(data, -np.inf, where=~bool_mask(mask, shape))
     top = data.max(axis=axis, keepdims=True)
     # a slice has a valid entry exactly when its max is not -inf
     if np.isneginf(top).any():
@@ -431,7 +437,8 @@ def softmax_sum(terms, shape, axis=-1, mask=None):
 
 
 # query rows whose (rows, n_offsets) profile gather_dot holds at once,
-# in the forward and in the backward's per-offset sums
+# in the forward and in the backward's per-offset sums; also the query
+# tile the attention layer (attention._layer) walks its energies in
 GATHER_DOT_ROWS = 32
 
 

@@ -10,6 +10,7 @@ from attnlab.attention import (
     AttentionParams,
     attention_forward,
     key_only_energy,
+    offset_map,
     offset_map_1d,
     offset_map_2d,
     pos_only_energy,
@@ -37,7 +38,7 @@ from attnlab.flops import (
     shared_savings,
     table_rows,
 )
-from attnlab.tensor import Rng, Tensor, counting
+from attnlab.tensor import GATHER_DOT_ROWS, Rng, Tensor, counting
 
 ALL_BETAS = ["".join(bits) for bits in itertools.product("01", repeat=4)]
 
@@ -87,6 +88,24 @@ def test_attention_layer_matches_closed_form_for_all_configs():
             attention_forward(x, x, params, config, offsets, mode="self")
         macs, exps, divs = count_attention(config.gates, n_s, n_s, c, m)
         assert (got.macs, got.exps, got.divs) == (macs, exps, divs), beta
+
+
+@pytest.mark.parametrize("shape", [(7, 7), (40,)], ids=["7x7", "seq40"])
+def test_attention_layer_counts_are_exact_over_several_query_tiles(shape):
+    """49 and 40 query rows walk a full tile of GATHER_DOT_ROWS and a partial
+    one; key_only, which has no query axis, is charged once per head."""
+    n_s, c, m = int(np.prod(shape)), 8, 2
+    assert GATHER_DOT_ROWS < n_s and n_s % GATHER_DOT_ROWS
+    rng = Rng(4)
+    params = AttentionParams(c, m, enc_dim=c, rng=rng.child(0))
+    x = Tensor(rng.child(1).uniform(-1, 1, (n_s, c)))
+    offsets = offset_map(shape, shape, enc_dim=c)
+    for beta in ALL_BETAS:
+        config = AttentionConfig.from_beta(beta, heads=m)
+        with counting() as got:
+            attention_forward(x, x, params, config, offsets, mode="self")
+        want = count_attention(config.gates, n_s, n_s, c, m, n_offsets=offsets.n_offsets)
+        assert (got.macs, got.exps, got.divs) == want, beta
 
 
 def test_attention_layer_cross_shape_and_residual():

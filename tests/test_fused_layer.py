@@ -1,22 +1,24 @@
 """The layer as one tape op: its hand-written VJP against central
-differences, the nodes and arrays it leaves on the tape, and the inputs
-it rejects at the boundary."""
+differences, on one query tile and on several, the nodes and arrays it
+leaves on the tape, and the inputs it rejects at the boundary."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from attnlab import attention
 from attnlab.attention import (
     AttentionConfig,
     AttentionParams,
     attention_forward,
     attention_weights,
+    local_mask,
     offset_map_1d,
     offset_map_2d,
 )
-from attnlab.errors import ShapeMismatch
-from attnlab.tensor import Rng, Tensor
+from attnlab.errors import DegenerateRegion, ShapeMismatch
+from attnlab.tensor import GATHER_DOT_ROWS, Rng, Tensor
 
 ALL_BETAS = [format(i, "04b") for i in range(16)]
 STEP = 1e-5
@@ -80,6 +82,97 @@ def test_vjp_matches_central_differences_on_every_input(beta, heads, mode, maske
         assert t.grad is None or t.grad.shape == t.shape
         assert hi != lo or t.grad is None or not t.grad.any()
         assert abs(analytic - numeric) <= 1e-7 * (1 + abs(numeric)), (t.shape, analytic, numeric)
+
+
+# -- the query tiles: a 1-d self layer of 40 rows walks a full tile and a partial one --
+
+
+TILED_N = 40
+
+
+def _tiled_case(beta, window):
+    """A perturbed self layer (C = 4, M = 2, batch 2, residual on) over a
+    sequence of TILED_N, unmasked or with a local window; returns its loss,
+    the tensors it reads and an rng for directions."""
+    rng = Rng(5)
+    params = AttentionParams(4, 2, enc_dim=4, rng=rng.child(0))
+    for p in params.parameters():
+        p.data = p.data + rng.uniform(-0.5, 0.5, p.shape)
+    offsets = offset_map_1d(TILED_N, TILED_N, enc_dim=4)
+    mask = None if window is None else local_mask(offsets, window)
+    x = Tensor(rng.uniform(-1, 1, (2 * TILED_N, 4)), requires_grad=True)
+    probe = Tensor(rng.uniform(-1, 1, (2 * TILED_N, 4)))
+    config = AttentionConfig.from_beta(beta, heads=2)
+
+    def loss():
+        out = attention_forward(x, x, params, config, offsets, mask, residual=True, batch=2)
+        return (out * probe).sum()
+
+    return loss, params.parameters() + [x], rng
+
+
+TILED_CASES = [pytest.param(beta, window, id=f"{beta}-{'w7' if window else 'full'}")
+               for beta in ("1111", "0010", "0101", "1000") for window in (None, 7)]
+
+
+@pytest.mark.parametrize("beta, window", TILED_CASES)
+def test_tiled_vjp_matches_central_differences(beta, window):
+    assert GATHER_DOT_ROWS < TILED_N < 2 * GATHER_DOT_ROWS
+    loss, tensors, rng = _tiled_case(beta, window)
+    loss().backward()
+    for t in tensors:
+        u = rng.uniform(-1, 1, t.shape)
+        keep = t.data.copy()
+        t.data = keep + STEP * u
+        hi = loss().item()
+        t.data = keep - STEP * u
+        lo = loss().item()
+        t.data = keep
+        numeric = (hi - lo) / (2 * STEP)
+        analytic = 0.0 if t.grad is None else float((t.grad * u).sum())
+        assert abs(analytic - numeric) <= 1e-7 * (1 + abs(numeric)), (t.shape, analytic, numeric)
+
+
+@pytest.mark.parametrize("beta, window", TILED_CASES)
+def test_tiles_agree_with_one_tile_of_all_rows(beta, window, monkeypatch):
+    """The layer's output and every gradient are those of a run whose tile
+    holds all TILED_N rows; a head runs one masked softmax per tile."""
+    calls = []
+    softmax = attention._softmax_sum
+    monkeypatch.setattr(attention, "_softmax_sum",
+                        lambda *a, **k: calls.append(k["shape"]) or softmax(*a, **k))
+
+    def run():
+        loss, tensors, _ = _tiled_case(beta, window)
+        value = loss()
+        value.backward()
+        return [value.data] + [t.grad for t in tensors]
+
+    tiled = run()
+    assert [shape[1] for shape in calls] == [GATHER_DOT_ROWS, TILED_N - GATHER_DOT_ROWS] * 2
+    calls.clear()
+    monkeypatch.setattr(attention, "GATHER_DOT_ROWS", TILED_N)
+    whole = run()
+    assert [shape[1] for shape in calls] == [TILED_N] * 2
+    for a, b in zip(tiled, whole):
+        assert (a is None) == (b is None)
+        if a is not None:
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+def test_a_fully_masked_row_in_the_last_partial_tile_raises():
+    """Row 37 of 40 is the one fully masked row; it lies in the second
+    tile, which holds rows 32-39."""
+    offsets = offset_map_1d(TILED_N, TILED_N, enc_dim=4)
+    mask = np.ones((TILED_N, TILED_N), dtype=bool)
+    mask[37] = False
+    params = AttentionParams(4, 2, enc_dim=4, rng=Rng(0))
+    x = Tensor(Rng(1).uniform(-1, 1, (2 * TILED_N, 4)))
+    config = AttentionConfig.from_beta("1111", heads=2)
+    with pytest.raises(DegenerateRegion):
+        attention_forward(x, x, params, config, offsets, mask, batch=2)
+    mask[37, 0] = True
+    assert attention_forward(x, x, params, config, offsets, mask, batch=2).shape == x.shape
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
@@ -162,6 +255,20 @@ def test_one_layer_forward_and_backward_peak_stays_under_32_mb():
         tracemalloc.stop()
     assert peak < 32e6
     assert x.grad.shape == x.shape
+
+
+def test_one_layer_forward_and_backward_peak_stays_under_20_mb():
+    """Walking query tiles, the layer makes no grid-sized array but the
+    kept weights (5.3 MB per head here)."""
+    params, config, offsets, x = _grid_layer("1111")
+    tracemalloc.start()
+    try:
+        attention_forward(x, x, params, config, offsets, residual=True,
+                          batch=2).sum().backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 # -- inputs the layer rejects at its boundary ---------------------------------------------
