@@ -27,14 +27,15 @@ head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import ContractViolation, ShapeMismatch, positive_int
 from .relpos import cells, encode, flat_index
 from .tensor import (GATHER_DOT_ROWS, Rng, Tensor, _gather_dot, _matmul, _softmax_sum,
-                     bool_mask, rows_per_sample, softmax_sum, vjp_op)
+                     bool_mask, records, rows_per_sample, softmax_sum, vjp_op)
 
 
 @dataclass(frozen=True)
@@ -112,20 +113,29 @@ class AttentionParams:
 class OffsetMap:
     """Precomputed relative-position geometry for one layer.
 
-    ``table`` holds the sinusoid encoding of every realizable offset,
-    ``index`` maps a (query, key) pair to its table row, and ``delta``
-    keeps the raw integer offsets for building region masks: (n_q, n_k)
-    for sequences, else (n_q, n_k, ndim).
+    ``table`` holds the sinusoid encoding of every realizable offset and
+    ``index``, one int64 (n_q, n_k) array, maps a (query, key) pair to its
+    table row; ``q_extent`` and ``k_extent`` are the row-major extents the
+    pairs run over. Only these are held: ``delta``, the raw integer
+    offsets the region masks read, is derived from the extents on every
+    read, (n_q, n_k) for sequences, else (n_q, n_k, ndim).
     """
 
     table: np.ndarray
     index: np.ndarray
-    delta: np.ndarray
+    q_extent: tuple
+    k_extent: tuple
 
     @property
     def ndim(self):
-        """Rank of the extents, read from the shape of ``delta``."""
-        return 1 if self.delta.ndim == 2 else self.delta.shape[-1]
+        """Rank of the extents."""
+        return len(self.q_extent)
+
+    @property
+    def delta(self):
+        """Offsets k - q of every pair, int64, derived from the extents."""
+        axes = [kc - qc[:, None] for qc, kc in zip(cells(self.q_extent), cells(self.k_extent))]
+        return axes[0] if self.ndim == 1 else np.stack(axes, axis=-1)
 
     @property
     def n_offsets(self):
@@ -135,19 +145,21 @@ class OffsetMap:
 def offset_map(q_extent, k_extent, enc_dim, clip=None):
     """Offsets k - q from each cell of a row-major query extent to each
     cell of a key extent of the same rank (an int extent is a sequence).
-    The table encodes every offset in the box the pairs realize, row-major,
-    and ``index`` flattens each pair's offset in that box."""
+    The table encodes every offset in the box the pairs realize, row-major.
+    Row-major flattening is linear in the coordinates, so a pair's flat
+    offset k - q + n_q - 1 in that box is a query part, ``n_q - 1 - q``
+    flattened, plus a key part, ``k`` flattened: ``index`` is their outer
+    sum, the one (n_q, n_k) array the build makes."""
     q_extent, k_extent = (tuple(np.atleast_1d(e).tolist()) for e in (q_extent, k_extent))
     sizes = q_extent + k_extent
     if not q_extent or len(q_extent) != len(k_extent) or not all(map(positive_int, sizes)):
         raise ContractViolation(f"extents {q_extent}, {k_extent} are not positive ints of one rank")
-    axes = [kc[None, :] - qc[:, None] for qc, kc in zip(cells(q_extent), cells(k_extent))]
     # along each axis the pairs realize every offset from 1 - n_q to n_k - 1
+    low = np.array(q_extent)[:, None] - 1
     box = tuple(n_q + n_k - 1 for n_q, n_k in zip(q_extent, k_extent))
-    table = encode((cells(box) + 1 - np.array(q_extent)[:, None]).T, enc_dim, clip)
-    index = flat_index([a + n_q - 1 for a, n_q in zip(axes, q_extent)], box)
-    return OffsetMap(table=table, index=index,
-                     delta=np.stack(axes, axis=-1) if len(box) > 1 else axes[0])
+    table = encode((cells(box) - low).T, enc_dim, clip)
+    index = np.add.outer(flat_index(low - cells(q_extent), box), flat_index(cells(k_extent), box))
+    return OffsetMap(table, index, q_extent, k_extent)
 
 
 def offset_map_1d(n_q, n_k, enc_dim, clip=None):
@@ -287,8 +299,11 @@ def pos_only_energy(offsets, params):
 
 
 def pos_only_profile(offsets, params):
-    """Positional bias per table offset: list of (n_offsets,) tensors."""
-    each_row = replace(offsets, index=np.arange(offsets.n_offsets)[None, :])
+    """Positional bias per table offset: list of (n_offsets,) tensors, the
+    pos_only term over one row of pairs that reads each table row once.
+    The terms read only ``table`` and ``index``, so that row is given as
+    those two, not as an OffsetMap whose extents it would contradict."""
+    each_row = SimpleNamespace(table=offsets.table, index=np.arange(offsets.n_offsets)[None, :])
     return [e.reshape(offsets.n_offsets) for e in pos_only_energy(each_row, params)]
 
 
@@ -333,13 +348,17 @@ def attention_weights(z, x, params, config, offsets=None, mask=None, *, batch=1)
             for m in range(params.heads)]
 
 
-def _layer(z, x, wq, wk, wp, cb, pb, wv, wo, *, gates, offsets, mask, batch):
+def _layer(z, x, wq, wk, wp, cb, pb, wv, wo, *, gates, offsets, mask, batch, keep):
     """The layer in numpy: its output and its VJP into z, x and the packed
     weights. Each head walks the query axis in tiles of GATHER_DOT_ROWS
-    rows; ``tile`` builds a tile's terms, their masked softmax and its rows
-    of P @ V, and keeps its weights for the VJP, which walks the same tiles
-    and sums each operand's gradient over them before ``project`` runs
-    once. So the kept weights are the only (batch, n_q, n_k) arrays."""
+    rows; ``tile`` builds a tile's terms, their masked softmax into its
+    rows of the head's weights and its rows of P @ V. With ``keep`` (a tape
+    records the layer) each head's weights are one (batch, n_q, n_k) array
+    allocated once per call, and each tile keeps its VJP, which walks the
+    same tiles and sums each operand's gradient over them before
+    ``project`` runs once; so those arrays are the only grid-sized ones.
+    Without ``keep`` no tile keeps anything, and every tile writes its
+    weights into one tile-sized array."""
     (heads, d), n_q, n_k = wq.shape[:2], len(z) // batch, len(x) // batch
     terms, project = _head_terms(z, x, wq, wk, wp, cb, pb, gates=gates, offsets=offsets,
                                  batch=batch)
@@ -349,9 +368,9 @@ def _layer(z, x, wq, wk, wp, cb, pb, wv, wo, *, gates, offsets, mask, batch):
         mask = bool_mask(mask, (batch, n_q, n_k))
     h = np.empty((heads, batch, n_q, d))
 
-    def tile(m, rows):
+    def tile(m, rows, p):
         values, add = terms(m, rows)
-        p, sf = _softmax_sum(*values, shape=(batch, rows.stop - rows.start, n_k),
+        _, sf = _softmax_sum(*values, shape=p.shape, out=p,
                              mask=None if mask is None else mask[:, rows])
         h[m, :, rows], hf = _matmul(p, v[m])
 
@@ -361,10 +380,15 @@ def _layer(z, x, wq, wk, wp, cb, pb, wv, wo, *, gates, offsets, mask, batch):
             for i, g in enumerate(sf(gp)):
                 add(i, g, grads)
 
-        return vjp
+        return vjp if keep else None
 
-    walk = [tile(m, slice(lo, min(lo + GATHER_DOT_ROWS, n_q)))
-            for m in range(heads) for lo in range(0, n_q, GATHER_DOT_ROWS)]
+    scratch = None if keep else np.empty((batch, min(n_q, GATHER_DOT_ROWS), n_k))
+    walk = []
+    for m in range(heads):
+        p = np.empty((batch, n_q, n_k)) if keep else scratch
+        for lo in range(0, n_q, GATHER_DOT_ROWS):
+            rows = slice(lo, min(lo + GATHER_DOT_ROWS, n_q))
+            walk.append(tile(m, rows, p[:, rows] if keep else p[:, :rows.stop - lo]))
     out, of = _matmul(h.reshape(heads, -1, d), wo)
     shape = out.shape
 
@@ -399,7 +423,7 @@ def attention_forward(z, x, params, config, offsets=None, mask=None, mode="self"
     _layer_rows(z, x, params, config, offsets, batch)
     inputs = (z, x, *params.parameters()[:-1])
     y = vjp_op(*_layer(*(t.data for t in inputs), gates=config.gates, offsets=offsets,
-                       mask=mask, batch=batch), inputs)
+                       mask=mask, batch=batch, keep=records(inputs)), inputs)
     if residual:
         return z + y * params.res_scale
     return y

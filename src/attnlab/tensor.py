@@ -3,8 +3,9 @@
 Everything is float64 and row-major. Each operation returns a fresh
 tensor and records its vector-Jacobian product (VJP) through one
 recorder, ``vjp_op``, so the tape is rebuilt on every forward pass;
-``backward`` walks it once in reverse topological order. Inside a
-``no_grad()`` block nothing is recorded.
+``backward`` walks it once in reverse topological order and consumes it,
+dropping each node's VJP and the arrays it saved once it has run. Inside
+a ``no_grad()`` block nothing is recorded.
 
 Multiply-accumulate counting: while a ``counting()`` context is active,
 every forward operation reports its scalar multiplies as MACs (additions
@@ -72,6 +73,12 @@ def no_grad():
         _paused.pop()
 
 
+def records(inputs):
+    """Whether an op over ``inputs`` run now goes on the tape: no
+    ``no_grad()`` block is open and a gradient reaches one of them."""
+    return not _paused and any(t is not None and t.tracked for t in inputs)
+
+
 def _unbroadcast(grad, shape):
     """Reduce a broadcast gradient back to the operand's shape."""
     if grad.shape == shape:
@@ -132,11 +139,8 @@ class Tensor:
     @staticmethod
     def _from_op(data, parents, backward):
         out = Tensor(data)
-        if _paused:
-            return out
-        tracked = tuple(p for p in parents if p is not None and p.tracked)
-        if tracked:
-            out._parents = tracked
+        if records(parents):
+            out._parents = tuple(p for p in parents if p is not None and p.tracked)
             out._backward = backward
         return out
 
@@ -313,7 +317,16 @@ class Tensor:
             self.grad = self.grad + g
 
     def backward(self):
-        """Reverse-sweep from a scalar loss, accumulating leaf grads."""
+        """Reverse-sweep from a scalar loss, accumulating leaf grads.
+
+        The sweep consumes the graph, as PyTorch does by default
+        (``retain_graph=False``): each node drops its VJP, with the arrays
+        it saved, right after running it, so a step's saved state is freed
+        during its own backward. A later backward that reaches a consumed
+        node raises ContractViolation. The nodes stay linked to their
+        parents, values and all, until the loss is dropped; freeing those
+        too let glibc trim the heap after every step and fault it back in
+        on the next, about doubling a 6x6 training step's page faults."""
         if self.size != 1:
             raise ContractViolation(f"backward needs a scalar loss, got shape {self.shape}")
         order = []
@@ -332,12 +345,19 @@ class Tensor:
                 stack.append((p, False))
         self.grad = np.ones(self.shape)
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if node._backward is None:
+                continue
+            run, node._backward = node._backward, _consumed
+            if node.grad is not None:
+                run(node.grad)
             # every consumer of a node runs before it, so an intermediate
             # grad is complete here and needed no longer; keep leaf grads
-            if node._parents:
-                node.grad = None
+            node.grad = None
+
+
+def _consumed(g):
+    """The VJP of a node whose graph an earlier backward consumed."""
+    raise ContractViolation("backward through a graph that an earlier backward consumed")
 
 
 def vjp_op(data, vjp, inputs):
@@ -395,9 +415,14 @@ def bool_mask(mask, shape):
                             f"energies of shape {tuple(shape)}") from exc
 
 
-def _softmax_sum(*terms, shape, axis=-1, mask=None):
-    """numpy body of ``softmax_sum``: its value and its VJP."""
-    data = np.zeros(shape)
+def _softmax_sum(*terms, shape, axis=-1, mask=None, out=None):
+    """numpy body of ``softmax_sum``: its value and its VJP. The value is
+    built in ``out``, an array of ``shape``, if one is given."""
+    if out is None:
+        data = np.zeros(shape)
+    else:
+        data = out
+        data.fill(0.0)
     try:
         for t in terms:
             data += t

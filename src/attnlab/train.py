@@ -8,10 +8,12 @@ from .errors import NumericFault
 from .tensor import no_grad
 
 # rows an eval forward stacks at most; at 24x24 that is one sample per
-# forward. Stacked (576, 576) energy grids once ran slower than one, but
-# since the layer walks query tiles, a 4-sample 24x24 attended-block eval
-# is faster in one forward (1111: 49 ms against 57-58 ms one sample per
-# forward; 1000: 19 against 22 ms; one core of a shared 2-core x86_64)
+# forward. A 4-sample 24x24 attended-block eval would be faster in one
+# forward (1111: 36-38 ms against 42-47 ms one sample per forward; 1000:
+# 14-15 against 16 ms), but 2304 rows, enough for it, would forward a
+# 6x6 cell's 40 eval samples at once, which is slower (+dynamic 0000:
+# 3.5-3.8 against 2.1-2.3 ms; +deformable 1111: 9.6-10.4 against
+# 6.0-6.7 ms); min of 15-30 on one core of a shared 2-core x86_64
 EVAL_ROWS = 512
 
 
