@@ -19,8 +19,9 @@ outside the extent return zero. Along an axis the two cells around p
 weigh 1 - f and f, f = p - floor(p): g's values with g's one-sided slope
 at whole cells, whose kink would pin the zero-initialized offsets at zero.
 The sampling is one tape op, ``_interpolate``: a numpy forward that
-gathers x once per corner through ``tensor._take_rows``, and a
-hand-written VJP into the displacement and, when x is tracked, into x.
+reads every corner of x in one ``tensor._take_rows`` gather and weighs
+them in one contraction, and a hand-written VJP into the displacement
+and, when x is tracked, into x.
 It ends in the regular convolution's matmul, so with the predictor at
 zero it reproduces that convolution bit for bit.
 """
@@ -29,15 +30,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cache, reduce
-from operator import mul
+from functools import cache
 
 import numpy as np
 
 from .errors import ContractViolation, ShapeMismatch, positive_int
 from .relpos import cells, flat_index
-from .tensor import (Rng, Tensor, _emit, _scatter_rows, _take_rows, rows_per_sample,
-                     vjp_op, zeros)
+from .tensor import Rng, Tensor, _emit, _take_rows, rows_per_sample, vjp_op, zeros
 
 OFFSET_LR_SCALE = 0.1
 
@@ -181,47 +180,42 @@ def _interpolate(x, disp, extent, points, batch):
     ndim * m + axis displaces point m along that axis; each position stays
     within its own sample's extent.
 
-    Each read sums the 2**ndim surrounding cells, one ``_take_rows`` gather
-    of x per corner, weighted by the product of the per-axis linear kernels
-    (1 - f, f) of the fraction f past the lower cell; cells outside the
-    extent read zero. The VJP gives the displacement the kernels' slope in
-    f, one-sided at whole cells, and x one bincount over every corner's
-    reads, skipped when x is untracked.
+    Each read sums the 2**ndim surrounding cells, weighted by the product
+    of the per-axis linear kernels (1 - f, f) of the fraction f past the
+    lower cell; cells outside the extent read zero. All corners of all
+    reads are one ``_take_rows`` gather of x, (2**ndim, rows, K, c_in),
+    weighted and summed in one contraction. The VJP gives the displacement
+    the kernels' slope in f, one-sided at whole cells, from one dot of the
+    gradient with the corner reads, held from the forward, and x one
+    bincount over every corner's reads, skipped when x is untracked.
     """
     ndim = len(extent)
     at = _displaced(extent, points, batch)
     pos = at + np.moveaxis(disp.data.reshape(*at.shape[1:], ndim), -1, 0)
-    lows = np.floor(pos)
-    kernels = [(1.0 - f, f) for f in pos - lows]
-    corners = list(itertools.product((0, 1), repeat=ndim))
-    # per corner its rows of x (-1 off the edge), its per-axis kernels and their product
-    idx = flat_index(lows.astype(np.int64)[:, None] + np.array(corners).T[:, :, None, None],
-                     extent, _first_rows(extent, batch))
-    factors = [[k[bit] for k, bit in zip(kernels, bits)] for bits in corners]
-    weight = np.stack([reduce(mul, f) for f in factors])
-
-    def read(rows):
-        return _take_rows(x.data, rows, oob_zero=True)[0]
-
-    sampled = np.zeros((*at.shape[1:], x.shape[1]))
-    for rows, w in zip(idx, weight):
-        value = read(rows)
-        value *= w[..., None]
-        sampled += value
-    _emit(macs=(ndim - 1) * weight.size + sampled.size * len(corners))
+    floor = np.floor(pos)
+    frac = pos - floor
+    # a floor below -2 or above the size reads only off-edge cells either
+    # way; clipping it keeps far but finite positions inside int64
+    lows = np.clip(floor, -2, np.reshape(extent, (-1, 1, 1))).astype(np.int64)
+    bits = np.array(list(itertools.product((0, 1), repeat=ndim)))
+    # (2**ndim, rows, K) corner rows of x and (2**ndim, ndim, rows, K) kernels
+    idx = flat_index(lows[:, None] + bits.T[:, :, None, None], extent,
+                     _first_rows(extent, batch))
+    kernels = np.stack([1.0 - frac, frac])[bits, np.arange(ndim)]
+    weight = kernels.prod(axis=1)
+    reads, scatter = _take_rows(x.data, idx, oob_zero=True)
+    sampled = np.einsum("nrk,nrkc->rkc", weight, reads)
+    _emit(macs=(ndim - 1) * weight.size + sampled.size * len(bits))
 
     def vjp(g):
-        # each corner is read again, so the tape holds no (rows, K, c_in) read per corner
-        gpos = np.zeros(pos.shape)
-        for bits, f, rows in zip(corners, factors, idx):
-            dot = np.einsum("rkc,rkc->rk", g, read(rows))
-            for axis, bit in enumerate(bits):
-                slope = reduce(mul, f[:axis] + f[axis + 1:], dot)
-                gpos[axis] += slope if bit else -slope
-        gx = None
-        if x.tracked:
-            gx = _scatter_rows(np.where(idx < 0, len(x.data), idx), g * weight[..., None],
-                               x.shape)
+        dot = np.einsum("rkc,nrkc->nrk", g, reads)
+        # the slope of a corner's weight along an axis: the other axes'
+        # kernels, negated for the lower cell
+        slope = np.stack([np.prod(np.delete(kernels, axis, 1), axis=1)
+                          for axis in range(ndim)], axis=1)
+        slope *= np.where(bits, 1.0, -1.0)[:, :, None, None]
+        gpos = np.einsum("nrk,nark->ark", dot, slope)
+        gx = scatter(g * weight[..., None]) if x.tracked else None
         return gx, np.moveaxis(gpos, 0, -1).reshape(disp.shape)
 
     return vjp_op(sampled, vjp, (x, disp))

@@ -291,9 +291,9 @@ class Tensor:
 
         Result shape is ``indices.shape + self.shape[1:]``. With
         ``oob_zero`` out-of-range rows read as zeros and receive no
-        gradient, which is the boundary convention for spatial sampling.
-        The backward sums the gradient per (row, entry) pair with one
-        bincount; off-edge reads land in a spare row n that is dropped.
+        gradient, which is the boundary convention for spatial sampling:
+        they read a spare zero row n, and the backward, which sums the
+        gradient per (row, entry) pair with one bincount, drops that row.
         """
         return self._unary(*_take_rows(self.data, indices, oob_zero))
 
@@ -392,16 +392,18 @@ def _scatter_rows(idx, g, shape):
 
 
 def _take_rows(data, indices, oob_zero=False):
-    """numpy body of ``Tensor.take_rows``: its value and its scatter VJP."""
-    n = data.shape[0]
-    idx = _row_index(indices, n, in_range=not oob_zero)
-    if not oob_zero:
-        return np.take(data, idx, axis=0), lambda g: _scatter_rows(idx, g, data.shape)
-    ok = (idx >= 0) & (idx < n)
-    value = np.take(data, np.where(ok, idx, 0), axis=0)
-    value[~ok] = 0.0
-    # an off-edge read scatters into the spare row n, which is dropped
-    return value, lambda g: _scatter_rows(np.where(ok, idx, n), g, data.shape)
+    """numpy body of ``Tensor.take_rows``: its value and its scatter VJP.
+
+    With ``oob_zero`` every off-edge index is sent to row n, a spare zero
+    row appended to the operand, and all rows are read in one take. The
+    VJP scatters into that same spare row n, which ``_scatter_rows``
+    drops, so an off-edge read reads zero and gets no gradient."""
+    shape = data.shape
+    idx = _row_index(indices, shape[0], in_range=not oob_zero)
+    if oob_zero:
+        idx = np.where((idx >= 0) & (idx < shape[0]), idx, shape[0])
+        data = np.concatenate([data, np.zeros((1, *shape[1:]), data.dtype)])
+    return np.take(data, idx, axis=0), lambda g: _scatter_rows(idx, g, shape)
 
 
 def bool_mask(mask, shape):

@@ -9,11 +9,12 @@ from .tensor import no_grad
 
 # rows an eval forward stacks at most; at 24x24 that is one sample per
 # forward. A 4-sample 24x24 attended-block eval would be faster in one
-# forward (1111: 36-38 ms against 42-47 ms one sample per forward; 1000:
-# 14-15 against 16 ms), but 2304 rows, enough for it, would forward a
-# 6x6 cell's 40 eval samples at once, which is slower (+dynamic 0000:
-# 3.5-3.8 against 2.1-2.3 ms; +deformable 1111: 9.6-10.4 against
-# 6.0-6.7 ms); min of 15-30 on one core of a shared 2-core x86_64
+# forward (1111: 52-55 ms against 67-71 ms one sample per forward; 1000:
+# 21 against 24-25 ms), and so would a 6x6 +deformable cell's 40 eval
+# samples (1111: 5.2-7.3 against 6.0-8.3 ms), but 2304 rows would also
+# forward a 6x6 +dynamic cell's 40 at once, which is slower (0000:
+# 3.3-4.6 against 2.3-3.4 ms); min of 12-30 on one core of a shared
+# 2-core x86_64
 EVAL_ROWS = 512
 
 

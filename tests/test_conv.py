@@ -3,6 +3,7 @@ import pytest
 
 from attnlab.conv import (
     ConvParams,
+    deformable_conv,
     deformable_conv1d,
     deformable_conv2d,
     indicator_weights,
@@ -137,6 +138,32 @@ def test_deformable_matches_loop_oracle():
     )
     assert np.abs(got1.data - want1).max() <= 1e-9
 
+    # batches of 2-3 samples, each against the oracle on its own, with the
+    # predictor scaled so that displacements pass the extent plus two cells
+    # either way: many reads straddle the edge, one corner inside, one outside
+    for extent, batch in [((5, 4), 3), ((7,), 2)]:
+        ndim = len(extent)
+        params = ConvParams(c, 2, 3, ndim=ndim, rng=rng.child(2, batch), deformable=True)
+        xs = rng.uniform(-1, 1, (batch, *extent, c))
+        params.offset_w.data[:] = rng.uniform(-1, 1, params.offset_w.shape)
+        disp = xs @ params.offset_w.data
+        params.offset_w.data *= (max(extent) + 2.5) / min(disp.max(), -disp.min())
+        got = deformable_conv(Tensor(xs.reshape(-1, c)), params, extent, batch=batch).data
+        disp = (xs @ params.offset_w.data).reshape(batch, *extent, -1, ndim)
+        pos = (np.moveaxis(np.indices(extent), 0, -1)[..., None, :]
+               + np.array(params.points) + disp)
+        sizes = np.array(extent)
+        straddles = ((np.floor(pos) == -1) | (np.floor(pos) == sizes - 1)) & (pos % 1 != 0)
+        assert straddles.any()
+        weights = [t.data for t in params.point_weights]
+        for sample, out in zip(xs, got.reshape(batch, *extent, 2)):
+            if ndim == 2:
+                want = loop_deform2d(sample, weights, params.points, params.offset_w.data)
+            else:
+                want = loop_deform1d(sample, weights, [p[0] for p in params.points],
+                                     params.offset_w.data)
+            assert np.abs(out - want).max() <= 1e-9
+
 
 def test_reads_far_outside_come_back_zero():
     rng = Rng(59)
@@ -145,6 +172,30 @@ def test_reads_far_outside_come_back_zero():
     x = Tensor(np.ones((9, 2)))
     out = deformable_conv2d(x, params, (3, 3))
     assert np.abs(out.data).max() == 0.0
+
+
+def test_a_finite_displacement_past_int64_reads_as_one_of_100_cells():
+    """Row 4 displaced by 1e19 cells, out of int64's range, reads zero
+    without a cast warning, and every other row reads as before: the
+    output and the kernel and predictor gradients equal those of a
+    100-cell displacement."""
+    results = []
+    for far in (100.0, 1e19):
+        rng = Rng(67)
+        params = ConvParams(3, 2, 3, ndim=2, rng=rng.child(0), deformable=True)
+        params.offset_w.data[1:] = rng.uniform(-0.4, 0.4, (2, 18))
+        # channel 0, one on row 4 only, moves its points +far down and -far across
+        params.offset_w.data[0] = far * np.tile([1.0, -1.0], 9)
+        x = rng.uniform(-1, 1, (9, 3))
+        x[:, 0] = 0.0
+        x[4, 0] = 1.0
+        probe = Tensor(rng.uniform(-1, 1, (9, 2)))
+        out = deformable_conv2d(Tensor(x), params, (3, 3))
+        (out * probe).sum().backward()
+        results.append([out.data, params.weight.grad, params.offset_w.grad])
+    assert not results[0][0][4].any()
+    for near, past in zip(*results):
+        np.testing.assert_array_equal(past, near)
 
 
 def test_deformable_gradients_off_integer():

@@ -99,11 +99,13 @@ def test_each_conv_gathers_its_input_once_per_corner(monkeypatch):
     rng = Rng(3)
     x = Tensor(rng.uniform(-1, 1, (12, 2)))
     reads = []
+    shapes = []
     take_rows = tensor._take_rows
 
-    def counted(data, *args, **kwargs):
+    def counted(data, indices, *args, **kwargs):
         reads.append(data is x.data)
-        return take_rows(data, *args, **kwargs)
+        shapes.append(np.shape(indices))
+        return take_rows(data, indices, *args, **kwargs)
 
     # the numpy body, under each name the convs and the tape wrapper call
     for module in (tensor, conv, dynconv):
@@ -111,8 +113,10 @@ def test_each_conv_gathers_its_input_once_per_corner(monkeypatch):
     regular_conv(x, ConvParams(2, 3, 3, ndim=2, rng=rng.child(0)), (3, 4))
     assert reads.count(True) == 1
     reads.clear()
+    shapes.clear()
     deformable_conv(x, ConvParams(2, 3, 3, ndim=2, rng=rng.child(1), deformable=True), (3, 4))
-    assert reads.count(True) == 4
+    # one read of every corner: a (2**ndim, rows, K) index
+    assert reads.count(True) == 1 and shapes == [(4, 12, 9)]
     reads.clear()
     # one gather, of the gated feature's taps: each group's kernel is
     # repeated over its channels, not gathered
